@@ -27,12 +27,6 @@
 #                                    few-group / high-cardinality /
 #                                    skewed / mid-stream-shift key
 #                                    distributions
-#   BENCH_micro_exchange.json      — sharded exchange: Q3-shaped join +
-#                                    group-by at 1/2/4 shards, broadcast
-#                                    vs repartition arms, vs the
-#                                    single-engine baseline (the `cores`
-#                                    counter records the machine the run
-#                                    actually had)
 #   BENCH_micro_cancel.json        — Cancel()->drained latency p50/p99 on
 #                                    one-morsel merge-join monoliths,
 #                                    interrupt checkpoints on vs off, plus
@@ -91,7 +85,6 @@ run_one micro_plan_lowering
 run_one micro_filter
 run_one micro_groupby
 run_one micro_cancel
-run_one micro_exchange
 
 # serve_mixed is not a Google Benchmark binary: it drives the TCP
 # serving front end with its own main() and emits its JSON directly.

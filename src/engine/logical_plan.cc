@@ -2,7 +2,6 @@
 
 #include "common/hash.h"
 #include "common/macros.h"
-#include "exec/exchange.h"
 
 namespace morsel {
 
@@ -77,9 +76,6 @@ std::shared_ptr<const LogicalNode> RefreshNode(const LogicalNode* n) {
   }
   out->order_keys = n->order_keys;
   out->limit = n->limit;
-  out->exchange = n->exchange;
-  out->exchange_shard = n->exchange_shard;
-  out->exchange_keys = n->exchange_keys;
   return out;
 }
 
@@ -179,16 +175,6 @@ void FingerprintNode(const LogicalNode* n, std::string* out) {
       break;
     case LogicalNode::Kind::kCollect:
       break;
-    case LogicalNode::Kind::kExchangeSend:
-    case LogicalNode::Kind::kExchangeRecv:
-      // Channel identity, like table identity for scans: two stage
-      // plans match only if they talk through the same mailbox. Stage
-      // plans are coordinator-internal and never hit the statement
-      // cache, but the fingerprint must still be sound.
-      FpVal(out, reinterpret_cast<uintptr_t>(n->exchange.get()));
-      FpVal(out, static_cast<int32_t>(n->exchange_shard));
-      FpStrs(out, n->exchange_keys);
-      break;
   }
   FingerprintNode(n->input.get(), out);
   FingerprintNode(n->build.get(), out);
@@ -233,23 +219,6 @@ PlanBuilder PlanBuilder::Scan(const Table* table,
   node->names = std::move(columns);
   node->scan_rows = static_cast<double>(table->NumRows());
   node->table_epoch = table->epoch();
-  return PlanBuilder(std::move(node));
-}
-
-PlanBuilder PlanBuilder::ExchangeRecv(
-    std::shared_ptr<ExchangeChannel> channel, int shard,
-    std::vector<std::string> columns, double est_rows) {
-  auto node = std::make_shared<LogicalNode>();
-  node->kind = LogicalNode::Kind::kExchangeRecv;
-  node->types = channel->types();
-  MORSEL_CHECK(columns.size() == node->types.size());
-  node->names = std::move(columns);
-  node->scan_rows = est_rows;
-  // No sortedness statistics survive an exchange: rows interleave
-  // across senders, workers and buckets.
-  node->scan_sorted_frac.assign(node->types.size(), 0.0);
-  node->exchange = std::move(channel);
-  node->exchange_shard = shard;
   return PlanBuilder(std::move(node));
 }
 
@@ -354,20 +323,6 @@ void PlanBuilder::OrderBy(std::vector<OrderItem> keys, int64_t limit) {
 
 void PlanBuilder::CollectResult() {
   Wrap(LogicalNode::Kind::kCollect);
-  terminal_ = true;
-}
-
-void PlanBuilder::ExchangeSend(std::shared_ptr<ExchangeChannel> channel,
-                               int shard, std::vector<std::string> keys) {
-  ColScope in_scope = scope();
-  MORSEL_CHECK_MSG(
-      in_scope.types() == channel->types(),
-      "exchange send input schema must match the channel schema");
-  for (const std::string& k : keys) (void)in_scope.Index(k);
-  LogicalNode* n = Wrap(LogicalNode::Kind::kExchangeSend);
-  n->exchange = std::move(channel);
-  n->exchange_shard = shard;
-  n->exchange_keys = std::move(keys);
   terminal_ = true;
 }
 

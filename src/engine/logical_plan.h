@@ -16,8 +16,6 @@
 
 namespace morsel {
 
-class ExchangeChannel;
-
 // Position of `name` in `names`; aborts on an unknown name (malformed
 // plan — a query-author bug). Shared by every scope-like name lookup.
 int IndexOfName(const std::vector<std::string>& names,
@@ -102,10 +100,8 @@ struct LogicalNode {
     kProject,
     kJoin,
     kGroupBy,
-    kOrderBy,       // terminal
-    kCollect,       // terminal
-    kExchangeSend,  // terminal: route rows into an ExchangeChannel
-    kExchangeRecv,  // leaf: morsel source over an ExchangeChannel
+    kOrderBy,  // terminal
+    kCollect,  // terminal
   };
 
   Kind kind;
@@ -162,16 +158,6 @@ struct LogicalNode {
   // kOrderBy
   std::vector<OrderItem> order_keys;
   int64_t limit = -1;
-
-  // kExchangeSend / kExchangeRecv (DESIGN §14). The channel is the
-  // shared-memory mailbox between two distributed stages; the shard id
-  // names this plan's side of it (sender lane / receiver bucket). Send
-  // nodes carry the routing key columns (empty = single-bucket keyless
-  // exchange); recv nodes reuse `scan_rows` for the exact post-barrier
-  // cardinality the coordinator seeds them with.
-  std::shared_ptr<ExchangeChannel> exchange;
-  int exchange_shard = 0;
-  std::vector<std::string> exchange_keys;
 
   ColScope scope() const { return ColScope(names, types); }
 };
@@ -255,16 +241,6 @@ class PlanBuilder {
   static PlanBuilder Scan(const Table* table,
                           std::vector<std::string> columns);
 
-  // Root of a distributed receive stage: a morsel source over the
-  // channel's buffered rows, named `columns` (types come from the
-  // channel schema). `est_rows` is the exact post-send cardinality the
-  // coordinator read from the channel. Built by the sharded planner;
-  // see src/shard/ and DESIGN §14.
-  static PlanBuilder ExchangeRecv(std::shared_ptr<ExchangeChannel> channel,
-                                  int shard,
-                                  std::vector<std::string> columns,
-                                  double est_rows);
-
   PlanBuilder(PlanBuilder&&) = default;
   PlanBuilder& operator=(PlanBuilder&&) = default;
 
@@ -332,12 +308,6 @@ class PlanBuilder {
   void OrderBy(std::vector<OrderItem> keys, int64_t limit = -1);
   // Unordered terminal: collects all rows.
   void CollectResult();
-  // Distributed terminal: scatters rows into `channel`'s buckets by the
-  // hash of `keys` (empty = everything to bucket 0), writing through
-  // this plan's sender lane `shard`. The downstream stage reads them
-  // back with ExchangeRecv.
-  void ExchangeSend(std::shared_ptr<ExchangeChannel> channel, int shard,
-                    std::vector<std::string> keys);
 
   // Freezes the plan. Requires a terminal (OrderBy/CollectResult); the
   // builder is spent afterwards.

@@ -7,7 +7,6 @@
 #include "engine/engine.h"
 #include "engine/query.h"
 #include "exec/aggregation.h"
-#include "exec/exchange.h"
 #include "exec/fused.h"
 #include "exec/hash_join.h"
 #include "exec/merge_join.h"
@@ -81,20 +80,6 @@ std::vector<const LogicalNode*> Lowering::ChainOf(const LogicalNode* tail) {
 }
 
 Lowering::OpenPipe Lowering::StartChain(const LogicalNode* scan) {
-  if (scan->kind == LogicalNode::Kind::kExchangeRecv) {
-    // Distributed receive stage (DESIGN §14): the channel's buffered
-    // rows are this chain's storage area. Cardinality is exact (the
-    // coordinator seeded it from the post-send counts); no SARG scan
-    // source, so zone-map registration stays off this chain.
-    OpenPipe pipe;
-    pipe.source = std::make_unique<ExchangeRecvSource>(
-        scan->exchange.get(), scan->exchange_shard);
-    pipe.names = scan->names;
-    pipe.types = scan->types;
-    pipe.est_rows = scan->scan_rows;
-    pipe.sorted_frac = scan->scan_sorted_frac;
-    return pipe;
-  }
   MORSEL_CHECK(scan->kind == LogicalNode::Kind::kScan);
   OpenPipe pipe;
   auto source =
@@ -183,12 +168,6 @@ std::optional<Lowering::OpenPipe> Lowering::LowerNodes(
       case LogicalNode::Kind::kCollect:
         LowerCollect(n, std::move(pipe));
         return OpenPipe{};
-      case LogicalNode::Kind::kExchangeSend:
-        LowerExchangeSend(n, std::move(pipe));
-        return OpenPipe{};
-      case LogicalNode::Kind::kExchangeRecv:
-        MORSEL_CHECK_MSG(false, "exchange recv can only root a chain");
-        break;
     }
   }
   return pipe;
@@ -740,20 +719,6 @@ void Lowering::LowerCollect(const LogicalNode* n, OpenPipe pipe) {
       query_->Own<ResultSink>(pipe.types, query_->num_worker_slots());
   ClosePipe(pipe, sink, "collect");
   query_->SetResultProvider([sink] { return sink->TakeResult(); });
-}
-
-void Lowering::LowerExchangeSend(const LogicalNode* n, OpenPipe pipe) {
-  std::vector<int> key_cols;
-  for (const std::string& k : n->exchange_keys) {
-    key_cols.push_back(pipe.Index(k));
-  }
-  ExchangeSendSink* sink = query_->Own<ExchangeSendSink>(
-      n->exchange.get(), n->exchange_shard, std::move(key_cols),
-      query_->num_worker_slots());
-  ClosePipe(pipe, sink, "exchange-send");
-  // A send stage produces no local rows; its output lives in the
-  // channel. The coordinator reads counts there, not a ResultSet.
-  query_->SetResultProvider([] { return ResultSet(); });
 }
 
 int Lowering::ClosePipe(OpenPipe& pipe, Sink* sink,

@@ -150,7 +150,6 @@ class Lowering {
                              std::string annotation);
   void LowerOrderBy(const LogicalNode* n, OpenPipe pipe);
   void LowerCollect(const LogicalNode* n, OpenPipe pipe);
-  void LowerExchangeSend(const LogicalNode* n, OpenPipe pipe);
 
   // Shared join-planner prologue (both strategies must agree on it
   // exactly): re-projects the build pipe to [keys..., payload...] and

@@ -37,15 +37,12 @@ uint64_t RadixPartitionSet::partition_rows(int partition) const {
   return n;
 }
 
-RadixScatter::RadixScatter(const TupleLayout* layout, int num_partitions,
-                           int shift)
+RadixScatter::RadixScatter(const TupleLayout* layout, int num_partitions)
     : layout_(layout),
       num_partitions_(num_partitions),
-      shift_(shift),
       counts_(num_partitions, 0),
       cursors_(num_partitions, nullptr) {
   MORSEL_CHECK(num_partitions >= 1);
-  MORSEL_CHECK(shift >= 0 && shift < 64);
 }
 
 uint8_t** RadixScatter::Scatter(
@@ -57,7 +54,7 @@ uint8_t** RadixScatter::Scatter(
   const int parts = num_partitions_;
   std::fill(counts_.begin(), counts_.end(), 0u);
   for (int i = 0; i < n; ++i) {
-    ++counts_[PartitionOf(hashes[i])];
+    ++counts_[RadixPartitionOf(hashes[i], parts)];
   }
   // One bulk (zero-filling) append per touched partition: the capacity
   // check and the header clearing are paid per chunk, not per row.
@@ -68,7 +65,7 @@ uint8_t** RadixScatter::Scatter(
   }
   uint8_t** dest = ctx.arena.AllocArray<uint8_t*>(n);
   for (int i = 0; i < n; ++i) {
-    const int p = PartitionOf(hashes[i]);
+    const int p = RadixPartitionOf(hashes[i], parts);
     dest[i] = cursors_[p];
     cursors_[p] += rs;
   }

@@ -37,17 +37,6 @@ inline int RadixPartitionOf(uint64_t hash, int num_partitions) {
                           static_cast<uint64_t>(num_partitions));
 }
 
-// Shard index of a row hash (DESIGN §14). Uses the same high bits as
-// Table::PartitionOfKey, so a table hash-partitioned across shards
-// co-locates rows with the per-shard storage partitioning, and the
-// exchange send path routes a row to the shard that would own it as
-// base data. Disjoint from RadixPartitionOf's bits 13.. — a shard's
-// local radix spills still spread after the shard split.
-inline int ShardPartitionOf(uint64_t hash, int num_shards) {
-  return static_cast<int>((hash >> 32) %
-                          static_cast<uint64_t>(num_shards));
-}
-
 // Worker-private lanes of per-partition row buffers. Writes need no
 // locking: each worker owns its lane (indexed by worker slot), and the
 // lanes are cache-line aligned so two workers bumping their row tallies
@@ -93,12 +82,8 @@ class RadixPartitionSet {
 // chunk (DESIGN §11).
 class RadixScatter {
  public:
-  // `shift` selects the hash-bit family of the partition function:
-  // the default 13 is RadixPartitionOf (aggregation spills, radix merge
-  // runs); the exchange send path passes 32 (ShardPartitionOf) so rows
-  // route to shards with the same bits the storage partitioning uses.
-  RadixScatter(const TupleLayout* layout, int num_partitions,
-               int shift = 13);
+  // Rows go to partition RadixPartitionOf(hash, num_partitions).
+  RadixScatter(const TupleLayout* layout, int num_partitions);
 
   // `buffer_of(p)` returns the worker's buffer for partition p (created
   // lazily by the caller). The returned array (arena-allocated, valid
@@ -112,14 +97,8 @@ class RadixScatter {
   uint64_t rows_scattered() const { return rows_scattered_; }
 
  private:
-  int PartitionOf(uint64_t hash) const {
-    return static_cast<int>((hash >> shift_) %
-                            static_cast<uint64_t>(num_partitions_));
-  }
-
   const TupleLayout* layout_;
   int num_partitions_;
-  int shift_;
   std::vector<uint32_t> counts_;    // per-partition chunk histogram
   std::vector<uint8_t*> cursors_;   // per-partition write cursor
   uint64_t rows_scattered_ = 0;

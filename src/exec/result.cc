@@ -85,28 +85,6 @@ void ResultSet::Append(ResultSet&& other) {
   other = ResultSet(other.types_);
 }
 
-void ResultSet::AppendRowFrom(const ResultSet& other, int64_t r) {
-  MORSEL_CHECK(other.num_cols() == num_cols());
-  for (int c = 0; c < num_cols(); ++c) {
-    ColumnData& col = cols_[c];
-    switch (types_[c]) {
-      case LogicalType::kInt32:
-        col.i32.push_back(other.I32(r, c));
-        break;
-      case LogicalType::kInt64:
-        col.i64.push_back(other.I64(r, c));
-        break;
-      case LogicalType::kDouble:
-        col.f64.push_back(other.F64(r, c));
-        break;
-      case LogicalType::kString:
-        col.str.push_back(other.Str(r, c));
-        break;
-    }
-  }
-  ++num_rows_;
-}
-
 std::string ResultSet::RowToString(int64_t r) const {
   std::string out;
   char buf[64];

@@ -43,9 +43,6 @@ class ResultSet {
   void AppendRow(const TupleLayout& layout, const uint8_t* row);
   // Moves all rows of `other` onto the end of this result.
   void Append(ResultSet&& other);
-  // Copies row `r` of `other` (types must match). Lets a coordinator
-  // re-emit rows in a merged order (shard/OrderBy merge, DESIGN §14).
-  void AppendRowFrom(const ResultSet& other, int64_t r);
 
   // Debug/bench helper: renders row `r` as tab-separated text.
   std::string RowToString(int64_t r) const;

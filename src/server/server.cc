@@ -25,26 +25,15 @@ Server::~Server() { Stop(); }
 void Server::RegisterStatement(const std::string& name, LogicalPlan plan) {
   MORSEL_CHECK_MSG(plan.valid(), "RegisterStatement requires a built plan");
   std::lock_guard<std::mutex> lk(stmt_mu_);
-  statements_[name] = Stmt{std::move(plan), nullptr};
+  statements_[name] = std::move(plan);
 }
 
-void Server::RegisterShardedStatement(const std::string& name,
-                                      LogicalPlan plan,
-                                      ShardedEngine* sharded) {
-  MORSEL_CHECK_MSG(plan.valid(),
-                   "RegisterShardedStatement requires a built plan");
-  MORSEL_CHECK(sharded != nullptr);
-  std::lock_guard<std::mutex> lk(stmt_mu_);
-  statements_[name] = Stmt{std::move(plan), sharded};
-}
-
-bool Server::FindStatement(const std::string& name, LogicalPlan* out,
-                           ShardedEngine** sharded) const {
+bool Server::FindStatement(const std::string& name,
+                           LogicalPlan* out) const {
   std::lock_guard<std::mutex> lk(stmt_mu_);
   auto it = statements_.find(name);
   if (it == statements_.end()) return false;
-  *out = it->second.plan;  // cheap: shared tree
-  if (sharded != nullptr) *sharded = it->second.sharded;
+  *out = it->second;  // cheap: shared tree
   return true;
 }
 

@@ -24,7 +24,6 @@
 #include "common/fault_injector.h"
 #include "engine/engine.h"
 #include "server/admission.h"
-#include "shard/sharded_engine.h"
 #include "server/session.h"
 #include "server/stmt_cache.h"
 
@@ -61,14 +60,6 @@ class Server {
   // replaces it for future PREPAREs.
   void RegisterStatement(const std::string& name, LogicalPlan plan);
 
-  // Registers a statement that executes distributed on `sharded` (DESIGN
-  // §14) instead of on the local engine. Same wire protocol: the client
-  // cannot tell — PREPARE returns the same schema frame, EXECUTE goes
-  // through the same admission and governance path, FETCH pages the
-  // coordinator-merged result. `sharded` must outlive the server.
-  void RegisterShardedStatement(const std::string& name, LogicalPlan plan,
-                                ShardedEngine* sharded);
-
   // Binds, listens and starts accepting. False if the port is taken.
   bool Start();
   // Stops accepting, shuts down every session (cancelling + draining
@@ -91,11 +82,8 @@ class Server {
   const ServerOptions& options() const { return opts_; }
   StatementCache& cache() { return cache_; }
   AdmissionController& admission() { return admission_; }
-  // Null when unknown. The returned plan is a cheap shared-tree copy;
-  // `*sharded` (optional) receives the statement's target ShardedEngine,
-  // or null for a local statement.
-  bool FindStatement(const std::string& name, LogicalPlan* out,
-                     ShardedEngine** sharded = nullptr) const;
+  // False when unknown. The returned plan is a cheap shared-tree copy.
+  bool FindStatement(const std::string& name, LogicalPlan* out) const;
   void CountProtocolError() {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -117,13 +105,8 @@ class Server {
   StatementCache cache_;
   AdmissionController admission_;
 
-  struct Stmt {
-    LogicalPlan plan;
-    ShardedEngine* sharded = nullptr;  // null: runs on engine_
-  };
-
   mutable std::mutex stmt_mu_;
-  std::unordered_map<std::string, Stmt> statements_;
+  std::unordered_map<std::string, LogicalPlan> statements_;
 
   int listen_fd_ = -1;
   int port_ = 0;

@@ -143,40 +143,23 @@ bool Session::HandlePrepare(WireReader& r) {
     return false;
   }
   LogicalPlan plan;
-  ShardedEngine* sharded = nullptr;
-  if (!server_->FindStatement(name, &plan, &sharded)) {
+  if (!server_->FindStatement(name, &plan)) {
     return SendError(
         QueryStatus::Internal("unknown statement \"" + name + "\""));
   }
   const uint32_t stmt_id = next_stmt_id_++;
-  PreparedStmt& ps = stmts_[stmt_id];
-  ps.sharded = sharded;
-  ps.plan = plan;
   bool cache_hit = false;
-  const std::vector<std::string>* names;
-  const std::vector<LogicalType>* types;
-  uint64_t fingerprint;
-  if (sharded == nullptr) {
-    ps.entry = server_->cache().GetOrPrepare(plan, &cache_hit);
-    names = &ps.entry->names;
-    types = &ps.entry->types;
-    fingerprint = ps.entry->fingerprint;
-  } else {
-    // Sharded lowering happens per execution (it feeds on runtime
-    // exchange cardinalities), so there is no PreparedQuery to cache;
-    // the schema comes straight off the plan root.
-    names = &plan.root()->names;
-    types = &plan.root()->types;
-    fingerprint = PlanFingerprint(plan);
-  }
+  std::shared_ptr<const StatementCache::Entry> entry =
+      server_->cache().GetOrPrepare(plan, &cache_hit);
+  stmts_[stmt_id] = entry;
   WireWriter w(MsgType::kPrepared);
   w.U32(stmt_id);
-  w.U64(fingerprint);
+  w.U64(entry->fingerprint);
   w.U8(cache_hit ? 1 : 0);
-  w.U16(static_cast<uint16_t>(names->size()));
-  for (size_t c = 0; c < names->size(); ++c) {
-    w.U8(static_cast<uint8_t>((*types)[c]));
-    w.Str((*names)[c]);
+  w.U16(static_cast<uint16_t>(entry->names.size()));
+  for (size_t c = 0; c < entry->names.size(); ++c) {
+    w.U8(static_cast<uint8_t>(entry->types[c]));
+    w.Str(entry->names[c]);
   }
   return SendFrame(fd_, w.Finish());
 }
@@ -213,37 +196,20 @@ bool Session::HandleExecute(WireReader& r) {
   }
   Execution e;
   e.reserved_bytes = budget;
-  if (it->second.sharded != nullptr) {
-    // Distributed execution: the coordinator thread owns lowering and
-    // staging; governance knobs apply to every stage on every shard.
-    e.sharded = it->second.sharded->CreateQuery(it->second.plan, priority);
-    if (budget > 0) e.sharded->SetMemoryBudget(budget);
-    if (deadline_ms > 0) {
-      e.sharded->SetDeadline(std::chrono::milliseconds(deadline_ms));
-    }
-    if (limits_.max_workers > 0) {
-      e.sharded->SetMaxWorkers(limits_.max_workers);
-    }
-    if (server_->options().fault_injection.enabled) {
-      e.sharded->SetFaultInjection(server_->options().fault_injection);
-    }
-    e.sharded->Start();
-  } else {
-    // MakeQuery re-checks plan staleness under the prepared query's
-    // refresh lock on every execution — a cache hit whose table sealed a
-    // partition mid-stream re-resolves here instead of serving the stale
-    // splice. Lowering failures (e.g. the budget trips during SetPlan)
-    // surface as an errored query, harvested on FETCH.
-    e.query = it->second.entry->prepared.MakeQuery(priority, budget);
-    if (deadline_ms > 0) {
-      e.query->SetDeadline(std::chrono::milliseconds(deadline_ms));
-    }
-    if (limits_.max_workers > 0) e.query->SetMaxWorkers(limits_.max_workers);
-    if (server_->options().fault_injection.enabled) {
-      e.query->SetFaultInjection(server_->options().fault_injection);
-    }
-    e.query->Start();
+  // MakeQuery re-checks plan staleness under the prepared query's
+  // refresh lock on every execution — a cache hit whose table sealed a
+  // partition mid-stream re-resolves here instead of serving the stale
+  // splice. Lowering failures (e.g. the budget trips during SetPlan)
+  // surface as an errored query, harvested on FETCH.
+  e.query = it->second->prepared.MakeQuery(priority, budget);
+  if (deadline_ms > 0) {
+    e.query->SetDeadline(std::chrono::milliseconds(deadline_ms));
   }
+  if (limits_.max_workers > 0) e.query->SetMaxWorkers(limits_.max_workers);
+  if (server_->options().fault_injection.enabled) {
+    e.query->SetFaultInjection(server_->options().fault_injection);
+  }
+  e.query->Start();
   server_->CountQueryExecuted();
   const uint64_t query_id = next_query_id_++;
   execs_.emplace(query_id, std::move(e));
@@ -253,8 +219,7 @@ bool Session::HandleExecute(WireReader& r) {
   return SendFrame(fd_, w.Finish());
 }
 
-template <typename QueryT>
-void Session::WaitInterruptibly(QueryT* q) {
+void Session::WaitInterruptibly(Query* q) {
   while (!q->WaitFor(kWaitSlice)) {
     if (stopping_.load(std::memory_order_acquire)) {
       q->Cancel();
@@ -279,20 +244,13 @@ bool Session::HandleFetch(WireReader& r) {
   }
   Execution& e = it->second;
   if (!e.harvested) {
-    if (e.sharded != nullptr) {
-      WaitInterruptibly(e.sharded.get());
-      e.result = e.sharded->TakeResult();
-    } else {
-      WaitInterruptibly(e.query.get());
-      e.result = e.query->TakeResult();
-    }
+    WaitInterruptibly(e.query.get());
+    e.result = e.query->TakeResult();
     e.harvested = true;
     // Operator state is freed by the query's destructor: destroy before
     // releasing the admission reservation so the reservation covers the
-    // query's whole memory lifetime (a ShardedQuery also frees its
-    // exchange channels here).
+    // query's whole memory lifetime.
     e.query.reset();
-    e.sharded.reset();
     server_->admission().Release(e.reserved_bytes);
     e.released = true;
   }
@@ -375,11 +333,6 @@ void Session::DestroyExecution(Execution& e) {
     e.query->Cancel();
     e.query->Wait();
     e.query.reset();
-  }
-  if (e.sharded != nullptr) {
-    e.sharded->Cancel();
-    e.sharded->Wait();
-    e.sharded.reset();
   }
   if (!e.released) {
     server_->admission().Release(e.reserved_bytes);

@@ -26,8 +26,6 @@
 #include "exec/result.h"
 #include "server/stmt_cache.h"
 #include "server/wire.h"
-#include "shard/sharded_engine.h"
-#include "shard/sharded_query.h"
 
 namespace morsel::server {
 
@@ -65,11 +63,6 @@ class Session {
  private:
   struct Execution {
     std::unique_ptr<Query> query;   // null once harvested/cancelled
-    // Exactly one of query / sharded is set: a sharded statement's
-    // EXECUTE drives the distributed coordinator instead, through the
-    // identical lifecycle (admission covers it, FETCH harvests it,
-    // teardown cancels + drains it).
-    std::unique_ptr<ShardedQuery> sharded;
     int64_t reserved_bytes = 0;
     bool released = false;
     bool harvested = false;
@@ -97,25 +90,15 @@ class Session {
   void TeardownExecutions();
 
   // Blocks until `q` finishes, cancelling it if the session is shutting
-  // down. Works on Query and ShardedQuery alike (both expose
-  // WaitFor / Cancel / Wait).
-  template <typename QueryT>
-  void WaitInterruptibly(QueryT* q);
+  // down.
+  void WaitInterruptibly(Query* q);
 
   Server* server_;
   int fd_;
   uint64_t id_;
   SessionLimits limits_;
-  struct PreparedStmt {
-    std::shared_ptr<const StatementCache::Entry> entry;  // local stmts
-    // Sharded statements bypass the StatementCache: their lowering is
-    // per-execution, driven by runtime exchange cardinalities, so there
-    // is nothing reusable to cache. The session keeps the plan (cheap
-    // shared tree) and its target engine instead.
-    ShardedEngine* sharded = nullptr;
-    LogicalPlan plan;
-  };
-  std::unordered_map<uint32_t, PreparedStmt> stmts_;
+  std::unordered_map<uint32_t, std::shared_ptr<const StatementCache::Entry>>
+      stmts_;
   uint32_t next_stmt_id_ = 1;
   std::unordered_map<uint64_t, Execution> execs_;
   uint64_t next_query_id_ = 1;

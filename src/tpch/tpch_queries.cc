@@ -537,23 +537,32 @@ PlanBuilder Q15RevenueView(const TpchData& db) {
 }
 
 ResultSet Q15(Engine& e, const TpchData& db) {
-  // Scalar: the maximum supplier revenue.
-  double max_rev = 0.0;
-  {
-    PlanBuilder rev = Q15RevenueView(db);
-    std::vector<AggItem> aggs;
-    aggs.push_back({AggFunc::kMax, rev.Col("total_revenue"), "max_rev"});
-    rev.GroupBy({}, std::move(aggs));
-    rev.CollectResult();
-    ResultSet r = e.CreateQuery(rev.Build())->Execute();
-    max_rev = r.F64(0, 0);
-  }
+  // The view is summed once and max(total_revenue) and its argmax keys
+  // are read off that one result. Filtering a second, separately summed
+  // copy against the max would drop the top supplier whenever the two
+  // parallel sums round differently.
   PlanBuilder rev = Q15RevenueView(db);
-  rev.Filter(Ge(rev.Col("total_revenue"), ConstF64(max_rev)));
+  rev.CollectResult();
+  ResultSet view = e.CreateQuery(rev.Build())->Execute();
+  if (!view.ok()) return view;
+  double max_rev = 0.0;
+  std::vector<int64_t> top;
+  for (int64_t r = 0; r < view.num_rows(); ++r) {
+    const double v = view.F64(r, 1);
+    if (top.empty() || v > max_rev) {
+      max_rev = v;
+      top.clear();
+    }
+    if (v == max_rev) top.push_back(view.I64(r, 0));
+  }
   PlanBuilder sup = PlanBuilder::Scan(db.supplier.get(),
                             {"s_suppkey", "s_name", "s_address", "s_phone"});
-  sup.HashJoin(std::move(rev), {"s_suppkey"}, {"l_suppkey"},
-               {"total_revenue"}, JoinKind::kInner);
+  sup.Filter(InI64(sup.Col("s_suppkey"), std::move(top)));
+  sup.Project(NE("s_suppkey", sup.Col("s_suppkey")),
+              NE("s_name", sup.Col("s_name")),
+              NE("s_address", sup.Col("s_address")),
+              NE("s_phone", sup.Col("s_phone")),
+              NE("total_revenue", ConstF64(max_rev)));
   sup.OrderBy({{"s_suppkey", true}});
   return e.CreateQuery(sup.Build())->Execute();
 }

@@ -26,8 +26,6 @@
 #include "common/query_status.h"
 #include "common/rng.h"
 #include "numa/allocator.h"
-#include "shard/sharded_engine.h"
-#include "shard/sharded_query.h"
 #include "test_util.h"
 #include "volcano/volcano.h"
 
@@ -281,82 +279,6 @@ TEST(Chaos, ConcurrentFaultedAndCleanQueries) {
     queries.clear();
     EXPECT_EQ(NumaAllocatedBytes(), baseline) << "round " << round;
   }
-}
-
-// The sharded arm of the sweep (DESIGN §14): the same seed-drawn plans
-// distributed across 4 shared-nothing shards with the fact table dealt
-// round-robin and the dimension hash-placed — every join and group-by
-// crosses an exchange. Faults reseed per (stage, shard) inside the
-// coordinator, so they land in send stages, receive stages and the
-// final merge alike; the distributed contract is the single-engine one
-// plus fail-fast: one shard's fault fails the whole query with the
-// originating status, never a hang and never a kCancelled echo.
-TEST(Chaos, ShardedInjectedFaultSweep) {
-  EngineOptions opts;
-  opts.morsel_size = 512;
-  ShardedEngine sharded(SmallTopo(), 4, opts);
-  sharded.RegisterTable(Tables().fact.get(), ShardDist::kRoundRobin);
-  sharded.RegisterTable(Tables().dim.get(), ShardDist::kHash, {"bk"});
-
-  // Warm-up covers engine, fragment and channel lazy allocations, then
-  // the baseline every faulted distributed teardown must return to.
-  ASSERT_FALSE(OracleRows(1).empty());
-  {
-    auto warm = sharded.CreateQuery(DrawPlan(1));
-    EXPECT_EQ(SortedRows(warm->Execute()), OracleRows(1));
-  }
-  const size_t baseline = NumaAllocatedBytes();
-
-  int faulted = 0, survived = 0;
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    LogicalPlan plan = DrawPlan(seed);
-    const std::vector<std::string>& oracle = OracleRows(seed);
-    for (int mode = 0; mode < 4; ++mode) {
-      SCOPED_TRACE("seed " + std::to_string(seed) + " mode " +
-                   std::to_string(mode));
-      QueryStatus st;
-      {
-        auto q = sharded.CreateQuery(plan);
-        q->SetFaultInjection(DrawFault(mode, seed));
-        q->Start();
-        bool done = q->WaitFor(std::chrono::seconds(120));
-        EXPECT_TRUE(done) << "injected fault hung the sharded query";
-        if (!done) {
-          q->Cancel();
-          q->Wait();
-        }
-        st = q->status();
-        ResultSet r = q->TakeResult();
-        if (st.ok()) {
-          EXPECT_EQ(SortedRows(r), oracle);
-        } else {
-          EXPECT_EQ(r.num_rows(), 0);
-        }
-      }  // ShardedQuery (and its exchange channels) destroyed here
-      switch (mode) {
-        case 0:
-          EXPECT_TRUE(st.ok() || st.code == StatusCode::kMemoryExceeded)
-              << st.ToString();
-          break;
-        case 1:
-          EXPECT_TRUE(st.ok() || st.code == StatusCode::kCancelled)
-              << st.ToString();
-          break;
-        case 2:
-          EXPECT_TRUE(st.ok() || st.code == StatusCode::kDeadlineExceeded)
-              << st.ToString();
-          break;
-        case 3:
-          EXPECT_TRUE(st.ok()) << st.ToString();
-          break;
-      }
-      st.ok() ? ++survived : ++faulted;
-      EXPECT_EQ(NumaAllocatedBytes(), baseline);
-    }
-  }
-  // 80 executions; both outcomes must actually occur.
-  EXPECT_GE(faulted, 10) << "fault injection barely fired on shards";
-  EXPECT_GE(survived, 20) << "every stall-mode run should survive";
 }
 
 // DESIGN §15: a fused operator chain runs chunk-resident with exactly

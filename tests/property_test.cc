@@ -19,8 +19,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "shard/sharded_engine.h"
-#include "shard/sharded_query.h"
 #include "test_util.h"
 #include "volcano/volcano.h"
 
@@ -183,13 +181,6 @@ struct RandomPlanSpec {
   bool adaptive_agg = true;
   bool force_radix_agg = false;
   bool radix_merge_mat = true;
-  // Sharded scale-out dimensions (DESIGN Â§14): shard count and the
-  // distribution policy of each table. The sharded arm must agree
-  // byte-for-byte with the single-engine run and the Volcano oracle.
-  int shard_count = 1;       // 1 / 2 / 4 in-process engine shards
-  int probe_dist = 0;        // 0 = hash(pk), 1 = round-robin
-  int build_dist = 0;        // 0 = hash(bk), 1 = round-robin, 2 = replicated
-  bool dim2_replicated = true;
   // scheduling knobs for the tested engine
   int morsel_size = 512;
   int workers = 4;
@@ -233,13 +224,9 @@ RandomPlanSpec DrawSpec(uint64_t seed) {
   s.adaptive_agg = rng.Bernoulli(0.5);
   s.force_radix_agg = rng.Bernoulli(0.25);
   s.radix_merge_mat = rng.Bernoulli(0.5);
-  // Sharded dimensions: drawn after every pre-existing one so earlier
-  // seeds keep their established shapes.
-  constexpr int kShardCounts[] = {1, 2, 4};
-  s.shard_count = kShardCounts[rng.Uniform(0, 2)];
-  s.probe_dist = static_cast<int>(rng.Uniform(0, 1));
-  s.build_dist = static_cast<int>(rng.Uniform(0, 2));
-  s.dim2_replicated = rng.Bernoulli(0.5);
+  // Four draws of a retired dimension, still consumed so the draws
+  // after them keep their established per-seed values.
+  for (int i = 0; i < 4; ++i) (void)rng.Next();
   // Fused-pipeline dimension: drawn after every pre-existing one so
   // earlier seeds keep their established shapes.
   s.fused_pipelines = rng.Bernoulli(0.5);
@@ -249,9 +236,8 @@ RandomPlanSpec DrawSpec(uint64_t seed) {
   return s;
 }
 
-// Tables depend only on the seed, not on which engine runs them — the
-// single-engine arms scan these directly; the sharded arm registers
-// them as canonical tables and scans their fragments.
+// Tables depend only on the seed, not on which engine runs them: the
+// tested and the reference arm scan identical data.
 struct SpecTables {
   std::unique_ptr<Table> probe;
   std::unique_ptr<Table> build;
@@ -403,38 +389,6 @@ std::vector<std::string> RunSpec(const RandomPlanSpec& spec,
   return SortedRows(engine.CreateQuery(plan)->Execute());
 }
 
-// The sharded arm: the same tables registered on a ShardedEngine under
-// the drawn placement (hash on the join key / round-robin / replicated)
-// and the same plan executed distributed. Must be row-identical to the
-// Volcano reference regardless of shard count or placement — exchanges
-// may move rows but never change them.
-std::vector<std::string> RunSpecSharded(const RandomPlanSpec& spec) {
-  SpecTables t = MakeSpecTables(spec);
-  LogicalPlan plan = BuildSpecPlan(spec, t, /*reference=*/false);
-  ShardedEngine sharded(testutil::SmallTopo(), spec.shard_count,
-                        TestedEngineOptions(spec));
-  sharded.RegisterTable(t.probe.get(),
-                        spec.probe_dist == 0 ? ShardDist::kHash
-                                             : ShardDist::kRoundRobin,
-                        spec.probe_dist == 0
-                            ? std::vector<std::string>{"pk"}
-                            : std::vector<std::string>{});
-  sharded.RegisterTable(t.build.get(),
-                        spec.build_dist == 0   ? ShardDist::kHash
-                        : spec.build_dist == 1 ? ShardDist::kRoundRobin
-                                               : ShardDist::kReplicated,
-                        spec.build_dist == 0
-                            ? std::vector<std::string>{"bk"}
-                            : std::vector<std::string>{});
-  sharded.RegisterTable(t.dim2.get(),
-                        spec.dim2_replicated ? ShardDist::kReplicated
-                                             : ShardDist::kHash,
-                        spec.dim2_replicated
-                            ? std::vector<std::string>{}
-                            : std::vector<std::string>{"b2k"});
-  return SortedRows(sharded.CreateQuery(plan)->Execute());
-}
-
 TEST(RandomizedPlans, MatchVolcanoReference) {
   // MORSEL_ONLY_SEED reruns a single failing seed in isolation.
   const char* only = std::getenv("MORSEL_ONLY_SEED");
@@ -449,9 +403,6 @@ TEST(RandomizedPlans, MatchVolcanoReference) {
         std::to_string(seed) + ")");
     std::vector<std::string> reference = RunSpec(spec, /*reference=*/true);
     EXPECT_EQ(RunSpec(spec, /*reference=*/false), reference);
-    // Differential sharded arm: distribution must be invisible in the
-    // result, for every drawn shard count and table placement.
-    EXPECT_EQ(RunSpecSharded(spec), reference);
   }
 }
 

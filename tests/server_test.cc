@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -457,55 +456,6 @@ TEST(ServerTest, PrepareExecuteFetchMatchesDirectExecution) {
   c2.Close();
   c.Close();
   EXPECT_GE(fx.server().stats().queries_executed, 1u);
-}
-
-// A statement registered against a ShardedEngine serves over the same
-// wire protocol — same PREPARE schema frame, same EXECUTE governance,
-// same FETCH paging — and returns exactly what the local engine does.
-TEST(ServerTest, ShardedStatementServesOverSameProtocol) {
-  static ShardedEngine* sharded = [] {
-    EngineOptions opts;
-    opts.morsel_size = 512;
-    auto* se = new ShardedEngine(SmallTopo(), 4, opts);
-    se->RegisterTable(Fact(), ShardDist::kRoundRobin);
-    return se;
-  }();
-  ServerFixture fx;
-  fx.server().RegisterShardedStatement("agg_sharded", AggPlan(), sharded);
-
-  Client c;
-  ASSERT_TRUE(c.Connect(fx.port()).ok());
-  Client::Prepared p = c.Prepare("agg_sharded");
-  ASSERT_TRUE(p.status.ok()) << p.status.ToString();
-  ASSERT_EQ(p.col_names.size(), 3u);
-  EXPECT_EQ(p.col_names[0], "k");
-  EXPECT_EQ(p.col_names[1], "n");
-  EXPECT_EQ(p.col_names[2], "sv");
-
-  Client::Executing e = c.Execute(p.stmt_id);
-  ASSERT_TRUE(e.status.ok()) << e.status.ToString();
-  Client::RowBatch rb = c.Fetch(e.query_id);
-  ASSERT_TRUE(rb.status.ok()) << rb.status.ToString();
-  EXPECT_TRUE(rb.done);
-  c.Close();
-
-  ResultSet direct = ServeEngine().CreateQuery(AggPlan())->Execute();
-  ASSERT_TRUE(direct.ok());
-  ASSERT_EQ(rb.num_rows, direct.num_rows());
-  // The distributed group-by may emit groups in any order; compare as
-  // sorted row strings.
-  std::vector<std::string> wire_rows, direct_rows;
-  for (int64_t i = 0; i < rb.num_rows; ++i) {
-    wire_rows.push_back(std::to_string(rb.cols[0].ints[i]) + "|" +
-                        std::to_string(rb.cols[1].ints[i]) + "|" +
-                        std::to_string(rb.cols[2].ints[i]));
-    direct_rows.push_back(std::to_string(direct.I64(i, 0)) + "|" +
-                          std::to_string(direct.I64(i, 1)) + "|" +
-                          std::to_string(direct.I64(i, 2)));
-  }
-  std::sort(wire_rows.begin(), wire_rows.end());
-  std::sort(direct_rows.begin(), direct_rows.end());
-  EXPECT_EQ(wire_rows, direct_rows);
 }
 
 TEST(ServerTest, FetchPaginatesWithCursor) {

@@ -1,14 +1,16 @@
 // Correctness tests for the TPC-H workload: all 22 queries execute, basic
-// result invariants hold, Q1/Q6 match a straightforward reference
-// computation over the raw tables, and the engine variants (morsel-driven,
-// Volcano emulation, single worker) agree on results.
+// result invariants hold, Q1/Q4/Q6/Q13/Q14/Q15 match a straightforward
+// reference computation over the raw tables, and the engine variants
+// (morsel-driven, Volcano emulation, single worker) agree on results.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/date.h"
 #include "common/string_util.h"
@@ -291,6 +293,43 @@ TEST(TpchQueries, Q14MatchesReference) {
   EXPECT_NEAR(r.F64(0, 0), 100.0 * promo / total, 1e-6);
 }
 
+// Q15 reference: the supplier(s) with the maximum 1996Q1 revenue. The
+// engine sums the revenue view in parallel, so rounding differs between
+// executions; every execution must still return the argmax suppliers.
+TEST(TpchQueries, Q15MatchesReference) {
+  const TpchData& db = Db();
+  std::map<int64_t, double> revenue;
+  Table* li = db.lineitem.get();
+  Date32 lo = MakeDate(1996, 1, 1), hi = MakeDate(1996, 4, 1);
+  for (int p = 0; p < li->num_partitions(); ++p) {
+    for (size_t i = 0; i < li->PartitionRows(p); ++i) {
+      Date32 ship = li->Int32Col(p, 10)->Get(i);
+      if (ship < lo || ship >= hi) continue;
+      revenue[li->Int64Col(p, 2)->Get(i)] +=
+          li->DoubleCol(p, 5)->Get(i) * (1.0 - li->DoubleCol(p, 6)->Get(i));
+    }
+  }
+  ASSERT_FALSE(revenue.empty());
+  double max_rev = 0.0;
+  for (const auto& [supp, rev] : revenue) max_rev = std::max(max_rev, rev);
+  std::vector<int64_t> expect;
+  for (const auto& [supp, rev] : revenue) {
+    if (rev == max_rev) expect.push_back(supp);
+  }
+
+  for (int rep = 0; rep < 100; ++rep) {
+    SCOPED_TRACE("repetition " + std::to_string(rep));
+    ResultSet r = RunTpchQuery(SharedEngine(), db, 15);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<int64_t> got;
+    for (int64_t i = 0; i < r.num_rows(); ++i) {
+      got.push_back(r.I64(i, 0));
+      EXPECT_NEAR(r.F64(i, 4), max_rev, 1e-6 * (1.0 + max_rev));
+    }
+    ASSERT_EQ(got, expect);
+  }
+}
+
 // Every query runs and returns a plausible result.
 class TpchAllQueries : public ::testing::TestWithParam<int> {};
 
@@ -354,7 +393,7 @@ TEST_P(TpchVariants, EnginesAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Variants, TpchVariants,
-                         ::testing::Values(1, 3, 4, 6, 9, 13, 16, 18, 21));
+                         ::testing::Values(1, 3, 4, 6, 9, 13, 15, 16, 18, 21));
 
 }  // namespace
 }  // namespace morsel
