@@ -27,6 +27,11 @@
 #                                    few-group / high-cardinality /
 #                                    skewed / mid-stream-shift key
 #                                    distributions
+#   BENCH_micro_morsel_queue.json  — lock-free morsel hand-out
+#                                    throughput, all-local ranges vs
+#                                    forced cross-socket stealing, at
+#                                    1/2/4 threads (the dispatch layer
+#                                    in isolation)
 #   BENCH_micro_cancel.json        — Cancel()->drained latency p50/p99 on
 #                                    one-morsel merge-join monoliths,
 #                                    interrupt checkpoints on vs off, plus
@@ -84,6 +89,7 @@ run_one micro_merge_join
 run_one micro_plan_lowering
 run_one micro_filter
 run_one micro_groupby
+run_one micro_morsel_queue
 run_one micro_cancel
 
 # serve_mixed is not a Google Benchmark binary: it drives the TCP

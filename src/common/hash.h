@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 
 namespace morsel {
@@ -29,7 +30,26 @@ inline uint64_t HashCombine(uint64_t a, uint64_t b) {
 }
 
 // Hashes an arbitrary byte string (FNV-1a core with a 64-bit finalizer).
-uint64_t HashBytes(const void* data, size_t len);
+// Inline: string keys are hashed once per row on the build, probe and
+// aggregation paths, where an out-of-line call per key shows.
+inline uint64_t HashBytes(const void* data, size_t len) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  // Consume 8-byte blocks, then the tail, FNV-1a style per block.
+  while (len >= 8) {
+    uint64_t block;
+    std::memcpy(&block, p, 8);
+    h = (h ^ block) * 0x100000001b3ULL;
+    p += 8;
+    len -= 8;
+  }
+  if (len > 0) {
+    uint64_t tail = 0;
+    std::memcpy(&tail, p, len);
+    h = (h ^ tail) * 0x100000001b3ULL;
+  }
+  return Hash64(h);
+}
 
 inline uint64_t HashString(std::string_view s) {
   return HashBytes(s.data(), s.size());

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "common/memory_tracker.h"
 #include "common/query_status.h"
@@ -69,12 +70,35 @@ PipelineJob* Dispatcher::PickJob(WorkerContext& ctx) {
   return best;
 }
 
+namespace {
+
+// Takes one of the query's max_workers() slots, or fails at the cap.
+// Check and increment are one CAS, so concurrent requesters can never
+// all pass the cap on the same stale count.
+bool ReserveWorkerSlot(QueryContext* q) {
+  std::atomic<int>& active = q->active_workers();
+  int cur = active.load(std::memory_order_relaxed);
+  do {
+    if (cur >= q->max_workers()) return false;
+  } while (!active.compare_exchange_weak(cur, cur + 1,
+                                         std::memory_order_relaxed));
+  return true;
+}
+
+}  // namespace
+
 bool Dispatcher::GetTask(WorkerContext& ctx, Morsel* out) {
-  // A few retries cover races where the picked job drains between the
-  // pick and the cut; after that, report no work (worker will park).
+  // A few retries cover races where the picked job drains (or its query
+  // reaches its worker cap) between the pick and the cut; after that,
+  // report no work (worker will park).
   for (int attempt = 0; attempt < 3; ++attempt) {
     PipelineJob* job = PickJob(ctx);
     if (job == nullptr) return false;
+    QueryContext* q = job->query();
+    // Elastic cap (§3.1): PickJob's read of active_workers is only a
+    // hint; the slot is taken here, before any morsel is cut, and given
+    // back on every path that does not hand one out.
+    if (!ReserveWorkerSlot(q)) continue;
     // Reserve the hand-out BEFORE cutting: if this worker takes the last
     // morsel, the queue reads as exhausted immediately, and a sibling's
     // TryComplete must not see finished == handed_out until this morsel
@@ -89,22 +113,30 @@ bool Dispatcher::GetTask(WorkerContext& ctx, Morsel* out) {
       // transient over-count may have suppressed the completing
       // thread's counter check, re-examine the job ourselves.
       job->handed_out.fetch_sub(1, std::memory_order_seq_cst);
+      ReleaseWorkerSlot(q);
       TryComplete(job, ctx);
       continue;
     }
     if (job->queue()->Next(ctx.socket, out)) {
       out->job = job;
-      job->query()->active_workers().fetch_add(1,
-                                               std::memory_order_relaxed);
       return true;
     }
     // Queue drained under us: undo the reservation. Our temporary
     // over-count may have suppressed the completion check in a sibling
     // that finished the true last morsel, so re-examine the job.
     job->handed_out.fetch_sub(1, std::memory_order_acq_rel);
+    ReleaseWorkerSlot(q);
     TryComplete(job, ctx);
   }
   return false;
+}
+
+void Dispatcher::ReleaseWorkerSlot(QueryContext* q) {
+  q->active_workers().fetch_sub(1, std::memory_order_relaxed);
+  // A requester that saw our transient slot as "at the cap" may have
+  // given up on a sibling job of this query that still has morsels;
+  // bump the epoch so it re-checks instead of parking on a stale view.
+  if (q->max_workers() != std::numeric_limits<int>::max()) NotifyAll();
 }
 
 void Dispatcher::FinishMorsel(const Morsel& m, WorkerContext& ctx) {

@@ -80,6 +80,8 @@ class Dispatcher {
 
  private:
   PipelineJob* PickJob(WorkerContext& ctx);
+  // Gives back a worker slot GetTask reserved but did not use.
+  void ReleaseWorkerSlot(QueryContext* q);
   void RemoveJob(PipelineJob* job);
 
   const Topology& topo_;

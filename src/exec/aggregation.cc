@@ -129,40 +129,82 @@ void GroupByState::InitStatesColumnar(uint8_t* const* rows, const Chunk& in,
   }
 }
 
-void GroupByState::UpdateFromInput(uint8_t* row, const Chunk& in,
-                                   int i) const {
+namespace {
+
+// rows[j] <- fold(rows[j], src[input_rows[j]]) for j in [0, n), in j
+// order, so a group hit twice in one batch folds its inputs in input
+// order (sums of doubles stay bit-identical to a row-at-a-time fold).
+template <typename State, typename Src, typename Fold>
+void FoldColumn(const TupleLayout& layout, int f, uint8_t* const* rows,
+                const int32_t* input_rows, int n, const Src* src,
+                const Fold& fold) {
+  const int off = layout.field_offset(f);
+  for (int j = 0; j < n; ++j) {
+    State cur;
+    std::memcpy(&cur, rows[j] + off, sizeof cur);
+    cur = fold(cur, static_cast<State>(src[input_rows[j]]));
+    std::memcpy(rows[j] + off, &cur, sizeof cur);
+  }
+}
+
+template <typename State, typename Src>
+void FoldColumnFunc(AggFunc func, const TupleLayout& layout, int f,
+                    uint8_t* const* rows, const int32_t* input_rows, int n,
+                    const Src* src) {
+  switch (func) {
+    case AggFunc::kSum:
+      FoldColumn<State>(layout, f, rows, input_rows, n, src,
+                        [](State a, State b) { return a + b; });
+      break;
+    case AggFunc::kMin:
+      FoldColumn<State>(layout, f, rows, input_rows, n, src,
+                        [](State a, State b) { return std::min(a, b); });
+      break;
+    case AggFunc::kMax:
+      FoldColumn<State>(layout, f, rows, input_rows, n, src,
+                        [](State a, State b) { return std::max(a, b); });
+      break;
+    case AggFunc::kCount:
+      MORSEL_CHECK(false);  // handled by the caller
+  }
+}
+
+}  // namespace
+
+void GroupByState::UpdateColumnar(uint8_t* const* rows,
+                                  const int32_t* input_rows, int n,
+                                  const Chunk& in) const {
   for (size_t s = 0; s < specs_.size(); ++s) {
     const AggSpec& spec = specs_[s];
-    int f = num_keys_ + static_cast<int>(s);
-    switch (spec.func) {
-      case AggFunc::kCount:
-        layout_.SetI64(row, f, layout_.GetI64(row, f) + 1);
-        break;
-      case AggFunc::kSum:
-        if (state_types_[s] == LogicalType::kDouble) {
-          layout_.SetF64(row, f, layout_.GetF64(row, f) +
-                                     in.cols[spec.input_col].f64()[i]);
-        } else {
-          layout_.SetI64(row, f, layout_.GetI64(row, f) +
-                                     InputI64(in.cols[spec.input_col], i));
-        }
-        break;
-      case AggFunc::kMin:
-      case AggFunc::kMax: {
-        bool is_min = spec.func == AggFunc::kMin;
-        if (spec.input_type == LogicalType::kDouble) {
-          double v = in.cols[spec.input_col].f64()[i];
-          double cur = layout_.GetF64(row, f);
-          layout_.SetF64(row, f, is_min ? std::min(cur, v)
-                                        : std::max(cur, v));
-        } else {
-          int64_t v = InputI64(in.cols[spec.input_col], i);
-          int64_t cur = layout_.GetI64(row, f);
-          layout_.SetI64(row, f, is_min ? std::min(cur, v)
-                                        : std::max(cur, v));
-        }
-        break;
+    const int f = num_keys_ + static_cast<int>(s);
+    if (spec.func == AggFunc::kCount) {
+      const int off = layout_.field_offset(f);
+      for (int j = 0; j < n; ++j) {
+        int64_t cur;
+        std::memcpy(&cur, rows[j] + off, 8);
+        ++cur;
+        std::memcpy(rows[j] + off, &cur, 8);
       }
+      continue;
+    }
+    // SUM/MIN/MAX: the state is double exactly when the input is
+    // (AggStateType); integer inputs widen to the int64 state.
+    const Vector& v = in.cols[spec.input_col];
+    switch (v.type) {
+      case LogicalType::kInt32:
+        FoldColumnFunc<int64_t>(spec.func, layout_, f, rows, input_rows, n,
+                                v.i32());
+        break;
+      case LogicalType::kInt64:
+        FoldColumnFunc<int64_t>(spec.func, layout_, f, rows, input_rows, n,
+                                v.i64());
+        break;
+      case LogicalType::kDouble:
+        FoldColumnFunc<double>(spec.func, layout_, f, rows, input_rows, n,
+                               v.f64());
+        break;
+      default:
+        MORSEL_CHECK(false);  // string aggregates are rejected upstream
     }
   }
 }
@@ -344,25 +386,43 @@ void AggPhase1Sink::Consume(Chunk& chunk, ExecContext& ctx) {
   const int wid = ctx.worker->worker_id;
 
   // Reads keys and aggregate inputs through the selection vector — the
-  // per-row hash-table walk never needs dense columns.
+  // per-row hash-table walk never needs dense columns. The walk only
+  // finds (or creates) each row's group; hits are collected as (group
+  // row index, input row) pairs and folded aggregate by aggregate in
+  // flush_hits. Indices, not pointers: AppendRow may move the table's
+  // rows. Hits flush before every spill, which clears the table.
   const int active = chunk.ActiveRows();
+  const uint64_t* hashes = HashRowsPacked(chunk, key_cols_, ctx);
+  uint32_t* hit_groups = ctx.arena.AllocArray<uint32_t>(active);
+  int32_t* hit_inputs = ctx.arena.AllocArray<int32_t>(active);
+  uint8_t** hit_rows = ctx.arena.AllocArray<uint8_t*>(active);
+  int hits = 0;
+  auto flush_hits = [&] {
+    for (int j = 0; j < hits; ++j) {
+      hit_rows[j] = local.rows->row(hit_groups[j]);
+    }
+    state_->UpdateColumnar(hit_rows, hit_inputs, hits, chunk);
+    hits = 0;
+  };
   for (int k2 = 0; k2 < active; ++k2) {
     const int i = chunk.RowAt(k2);
     ++local.window_rows;
-    uint64_t h = HashRow(chunk, key_cols_, i);
+    const uint64_t h = hashes[k2];
     uint32_t slot = static_cast<uint32_t>(h) & (kLocalSlots - 1);
-    uint8_t* found = nullptr;
+    bool found = false;
     while (local.slots[slot] != kEmpty) {
-      uint8_t* row = local.rows->row(local.slots[slot]);
+      const uint8_t* row = local.rows->row(local.slots[slot]);
       if (TupleLayout::GetHash(row) == h &&
           state_->KeysEqualInput(row, chunk, i)) {
-        found = row;
+        found = true;
         break;
       }
       slot = (slot + 1) & (kLocalSlots - 1);
     }
-    if (found != nullptr) {
-      state_->UpdateFromInput(found, chunk, i);
+    if (found) {
+      hit_groups[hits] = local.slots[slot];
+      hit_inputs[hits] = i;
+      ++hits;
       continue;
     }
     // "spill when ht becomes full" (Figure 8): flush everything to the
@@ -374,6 +434,7 @@ void AggPhase1Sink::Consume(Chunk& chunk, ExecContext& ctx) {
       if (local.window_rows > 0 && WantRadix(local)) {
         local.switch_pending = true;
       }
+      flush_hits();
       SpillLocal(local, wid, ctx.socket(), ctx.traffic());
       slot = static_cast<uint32_t>(h) & (kLocalSlots - 1);
       while (local.slots[slot] != kEmpty) {
@@ -397,6 +458,7 @@ void AggPhase1Sink::Consume(Chunk& chunk, ExecContext& ctx) {
     ++local.count;
     ++local.window_groups;
   }
+  flush_hits();
 
   // Chunk-boundary observation: distinct-group growth over the window
   // (kObserveWindow rows, counted across spills). window_groups counts
@@ -576,7 +638,9 @@ void AggPartitionSource::EmitRows(const RowBuffer& rows, Pipeline& pipeline,
                                   ExecContext& ctx) {
   const TupleLayout& layout = state_->layout();
   const int num_fields = layout.num_fields();
+  const Arena::Mark morsel_start = ctx.arena.GetMark();
   for (uint64_t base = 0; base < rows.rows(); base += kChunkCapacity) {
+    ctx.arena.Rewind(morsel_start);  // chunk-scoped temporaries
     int n = static_cast<int>(
         std::min<uint64_t>(kChunkCapacity, rows.rows() - base));
     Chunk out;

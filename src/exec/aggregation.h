@@ -74,8 +74,12 @@ class GroupByState {
   // the row loop — the hot store of radix-mode scatter.
   void InitStatesColumnar(uint8_t* const* rows, const Chunk& in,
                           int n) const;
-  // Folds input row `i` into an existing group row.
-  void UpdateFromInput(uint8_t* row, const Chunk& in, int i) const;
+  // Folds input row input_rows[j] into group row rows[j] for j in
+  // [0, n), one aggregate column at a time (the type and function
+  // switch runs once per aggregate, not per row). Pairs fold in j
+  // order, so per-group fold order is input order.
+  void UpdateColumnar(uint8_t* const* rows, const int32_t* input_rows,
+                      int n, const Chunk& in) const;
   // Folds a partial-aggregate record into an existing group row.
   void CombinePartial(uint8_t* row, const uint8_t* partial) const;
 

@@ -2,38 +2,66 @@
 
 #include "numa/allocator.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define MORSEL_ARENA_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
+#define MORSEL_ARENA_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION((p), (n))
+#else
+#define MORSEL_ARENA_POISON(p, n) ((void)(p), (void)(n))
+#define MORSEL_ARENA_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
+
 namespace morsel {
 
 Arena::~Arena() {
-  for (Block& b : blocks_) NumaFree(b.data, b.size);
+  for (Block& b : blocks_) {
+    MORSEL_ARENA_UNPOISON(b.data, b.size);
+    NumaFree(b.data, b.size);
+  }
 }
 
 void* Arena::Alloc(size_t bytes) {
-  bytes = (bytes + 15) & ~size_t{15};  // 16-byte alignment for all types
+  const size_t rounded = (bytes + 15) & ~size_t{15};  // 16-byte alignment
   while (true) {
     if (current_ < blocks_.size()) {
       Block& b = blocks_[current_];
-      if (offset_ + bytes <= b.size) {
+      if (offset_ + rounded <= b.size) {
         void* p = b.data + offset_;
-        offset_ += bytes;
-        used_ += bytes;
+        offset_ += rounded;
+        used_ += rounded;
+        MORSEL_ARENA_UNPOISON(p, bytes);
         return p;
       }
       ++current_;
       offset_ = 0;
       continue;
     }
-    size_t size = bytes > kBlockSize ? bytes : kBlockSize;
+    size_t size = rounded > kBlockSize ? rounded : kBlockSize;
     blocks_.push_back(
         Block{static_cast<char*>(NumaAlloc(size, 0)), size});
+    MORSEL_ARENA_POISON(blocks_.back().data, size);
     // Loop retries with the fresh block as `current_`.
   }
 }
 
-void Arena::Reset() {
-  current_ = 0;
-  offset_ = 0;
-  used_ = 0;
+void Arena::Rewind(const Mark& mark) {
+  MORSEL_DCHECK(mark.block < current_ ||
+                (mark.block == current_ && mark.offset <= offset_));
+  // Poison what is released: the tail of the mark's block and every
+  // block filled after it (the fill never skips past current_).
+  for (size_t b = mark.block; b <= current_ && b < blocks_.size(); ++b) {
+    const size_t from = b == mark.block ? mark.offset : 0;
+    MORSEL_ARENA_POISON(blocks_[b].data + from, blocks_[b].size - from);
+  }
+  current_ = mark.block;
+  offset_ = mark.offset;
+  used_ = mark.used;
+}
+
+size_t Arena::bytes_reserved() const {
+  size_t total = 0;
+  for (const Block& b : blocks_) total += b.size;
+  return total;
 }
 
 Vector GatherVector(const Vector& v, const int32_t* idx, int count,

@@ -19,8 +19,11 @@ inline constexpr int kChunkCapacity = 1024;
 
 // A type-tagged, non-owning view of `n` contiguous values. Fixed-width
 // vectors may point straight into column storage (zero-copy scans);
-// computed vectors live in the per-worker Arena. Strings travel as
-// string_view arrays whose views point into table storage or the Arena.
+// computed vectors live in the per-worker Arena and have *chunk*
+// lifetime: the Source rewinds the arena before its next chunk. Strings
+// travel as string_view arrays whose views point into table storage or
+// the Arena. Sinks that keep values past Consume copy them (and intern
+// strings).
 struct Vector {
   LogicalType type = LogicalType::kInt64;
   const void* data = nullptr;
@@ -51,7 +54,7 @@ class Arena;
 // logical rows are the physical positions sel[0..sel_n) — strictly
 // ascending indices into [0, n). Vectors keep their full physical
 // length; unselected positions hold stale values that must never be
-// read. `sel` storage lives in the per-worker Arena (morsel lifetime).
+// read. `sel` storage lives in the per-worker Arena (chunk lifetime).
 //
 // Producers that drop rows (FilterOp) narrow `sel` instead of
 // gather-compacting every column; consumers either iterate RowAt(k) for
@@ -93,11 +96,26 @@ Vector GatherVector(const Vector& v, const int32_t* idx, int count,
 void GatherChunk(const Chunk& in, const int32_t* idx, int count,
                  Arena* arena, Chunk* out);
 
-// Bump allocator for chunk-lifetime temporaries. One per worker; reset at
-// every morsel boundary. Blocks are retained across resets so steady-state
-// execution allocates nothing.
+// Bump allocator for chunk-lifetime temporaries. One per (job, worker)
+// context; reset at every morsel boundary, and every Source rewinds it
+// to its morsel-start mark before each chunk it emits (DESIGN.md §16),
+// so a chunk's temporaries reuse the same cache-resident bytes. Blocks
+// are retained across resets so steady-state execution allocates
+// nothing.
+//
+// Under AddressSanitizer, released ranges (Rewind, Reset) are poisoned
+// and Alloc unpoisons what it hands out: an operator that keeps arena
+// memory past its chunk fails with use-after-poison.
 class Arena {
  public:
+  // A fill position; Rewind(mark) releases everything allocated after
+  // GetMark() returned it.
+  struct Mark {
+    size_t block = 0;
+    size_t offset = 0;
+    size_t used = 0;
+  };
+
   Arena() = default;
   ~Arena();
   Arena(const Arena&) = delete;
@@ -118,10 +136,16 @@ class Arena {
     return std::string_view(p, s.size());
   }
 
+  Mark GetMark() const { return Mark{current_, offset_, used_}; }
+  // Makes everything allocated after `mark` reusable; pointers handed
+  // out since are invalid. `mark` must not lie past the fill position.
+  void Rewind(const Mark& mark);
   // Makes all blocks reusable; pointers handed out earlier are invalid.
-  void Reset();
+  void Reset() { Rewind(Mark{}); }
 
   size_t bytes_in_use() const { return used_; }
+  // Bytes of blocks held (the high-water mark of any one fill).
+  size_t bytes_reserved() const;
 
  private:
   struct Block {

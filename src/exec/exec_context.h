@@ -53,7 +53,9 @@ void CheckQueryInterrupt(QueryContext* q);
 struct ExecContext {
   WorkerContext* worker = nullptr;
   QueryContext* query = nullptr;  // owning query; set by the job
-  Arena arena;  // reset at each morsel boundary
+  // Reset at each morsel boundary; the Source rewinds it before each
+  // chunk, so vectors and `sel` arrays allocated here live one chunk.
+  Arena arena;
 
   // Chunk-granularity cancellation checkpoint (DESIGN §11): one relaxed
   // load on the fast path, deadline/injector work every 64th call.

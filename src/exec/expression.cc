@@ -23,32 +23,6 @@ LogicalType Promote(LogicalType a, LogicalType b) {
   return LogicalType::kInt64;
 }
 
-inline int64_t GetI64(const Vector& v, int i) {
-  switch (v.type) {
-    case LogicalType::kInt32:
-      return v.i32()[i];
-    case LogicalType::kInt64:
-      return v.i64()[i];
-    default:
-      MORSEL_DCHECK(false);
-      return 0;
-  }
-}
-
-inline double GetF64(const Vector& v, int i) {
-  switch (v.type) {
-    case LogicalType::kInt32:
-      return v.i32()[i];
-    case LogicalType::kInt64:
-      return static_cast<double>(v.i64()[i]);
-    case LogicalType::kDouble:
-      return v.f64()[i];
-    default:
-      MORSEL_DCHECK(false);
-      return 0;
-  }
-}
-
 // Selected-row iteration: runs `body(i)` for every selected physical
 // position of `in`.
 template <typename Fn>
@@ -59,6 +33,154 @@ inline void ForSelected(const Chunk& in, const Fn& body) {
     for (int i = 0; i < cnt; ++i) body(i);
   } else {
     for (int k = 0; k < cnt; ++k) body(sel[k]);
+  }
+}
+
+// --- typed binary kernels ---------------------------------------------
+// Comparison and arithmetic resolve (left type, right type, op) once per
+// chunk and run one specialized loop. Either operand may be a numeric
+// literal, folded at construction (AsConstNumeric), so no per-chunk
+// constant vector is filled. C is the promoted computation type: double
+// if either side is double, else int64.
+
+// A binary node's numeric operand: a column vector or a folded literal.
+struct NumOperand {
+  bool is_const = false;
+  bool is_int = false;  // literal: which representation is exact
+  int64_t iv = 0;
+  double dv = 0.0;
+};
+
+NumOperand AnalyzeNumOperand(const Expr& e) {
+  NumOperand o;
+  o.is_const = e.AsConstNumeric(&o.iv, &o.dv, &o.is_int);
+  return o;
+}
+
+template <typename C, typename T>
+struct VecAt {
+  const T* p;
+  C operator()(int i) const { return static_cast<C>(p[i]); }
+};
+
+template <typename C>
+struct ConstAt {
+  C v;
+  C operator()(int) const { return v; }
+};
+
+// Calls fn(accessor) with the operand's typed per-row accessor.
+template <typename C, typename Fn>
+void WithNumOperand(const NumOperand& o, const Vector& v, const Fn& fn) {
+  if (o.is_const) {
+    fn(ConstAt<C>{o.is_int ? static_cast<C>(o.iv) : static_cast<C>(o.dv)});
+    return;
+  }
+  switch (v.type) {
+    case LogicalType::kInt32:
+      fn(VecAt<C, int32_t>{v.i32()});
+      return;
+    case LogicalType::kInt64:
+      fn(VecAt<C, int64_t>{v.i64()});
+      return;
+    case LogicalType::kDouble:
+      if constexpr (std::is_same_v<C, double>) {
+        fn(VecAt<C, double>{v.f64()});
+        return;
+      }
+      break;
+    case LogicalType::kString:
+      break;
+  }
+  MORSEL_CHECK(false);  // types are checked at construction
+}
+
+// Comparison semantics are those of the three-way form
+// `a < b ? -1 : (a > b ? 1 : 0)` tested against 0: with a NaN on either
+// side the comparison reads as "equal". For integers this is the plain
+// operator; for doubles it is spelled with < and > only.
+struct CmpEqOp {
+  template <typename C>
+  int32_t operator()(C a, C b) const {
+    if constexpr (std::is_floating_point_v<C>) return !(a < b) && !(a > b);
+    return a == b;
+  }
+};
+struct CmpNeOp {
+  template <typename C>
+  int32_t operator()(C a, C b) const {
+    if constexpr (std::is_floating_point_v<C>) return a < b || a > b;
+    return a != b;
+  }
+};
+struct CmpLtOp {
+  template <typename C>
+  int32_t operator()(C a, C b) const { return a < b; }
+};
+struct CmpLeOp {
+  template <typename C>
+  int32_t operator()(C a, C b) const { return !(a > b); }
+};
+struct CmpGtOp {
+  template <typename C>
+  int32_t operator()(C a, C b) const { return a > b; }
+};
+struct CmpGeOp {
+  template <typename C>
+  int32_t operator()(C a, C b) const { return !(a < b); }
+};
+
+// Calls fn(op functor) for a comparison operator.
+template <typename Fn>
+void WithCmpOp(CmpOp op, const Fn& fn) {
+  switch (op) {
+    case CmpOp::kEq:
+      return fn(CmpEqOp{});
+    case CmpOp::kNe:
+      return fn(CmpNeOp{});
+    case CmpOp::kLt:
+      return fn(CmpLtOp{});
+    case CmpOp::kLe:
+      return fn(CmpLeOp{});
+    case CmpOp::kGt:
+      return fn(CmpGtOp{});
+    case CmpOp::kGe:
+      return fn(CmpGeOp{});
+  }
+}
+
+// Integer division by zero yields 0 (there is no NULL to return).
+struct ArithAddOp {
+  template <typename C>
+  C operator()(C a, C b) const { return a + b; }
+};
+struct ArithSubOp {
+  template <typename C>
+  C operator()(C a, C b) const { return a - b; }
+};
+struct ArithMulOp {
+  template <typename C>
+  C operator()(C a, C b) const { return a * b; }
+};
+struct ArithDivOp {
+  template <typename C>
+  C operator()(C a, C b) const {
+    if constexpr (std::is_floating_point_v<C>) return a / b;
+    return b == 0 ? 0 : a / b;
+  }
+};
+
+template <typename Fn>
+void WithArithOp(ArithOp op, const Fn& fn) {
+  switch (op) {
+    case ArithOp::kAdd:
+      return fn(ArithAddOp{});
+    case ArithOp::kSub:
+      return fn(ArithSubOp{});
+    case ArithOp::kMul:
+      return fn(ArithMulOp{});
+    case ArithOp::kDiv:
+      return fn(ArithDivOp{});
   }
 }
 
@@ -160,6 +282,8 @@ class ConstStrExpr final : public Expr {
     out->data = data;
   }
 
+  const std::string& value() const { return v_; }
+
   ExprPtr Clone() const override {
     return std::make_unique<ConstStrExpr>(v_);
   }
@@ -179,59 +303,26 @@ class ArithExpr final : public Expr {
       : Expr(Promote(lhs->type(), rhs->type())),
         op_(op),
         lhs_(std::move(lhs)),
-        rhs_(std::move(rhs)) {}
+        rhs_(std::move(rhs)) {
+    Analyze();
+  }
 
   void Eval(const Chunk& in, ExecContext& ctx, Vector* out) const override {
     Vector l, r;
-    lhs_->Eval(in, ctx, &l);
-    rhs_->Eval(in, ctx, &r);
+    if (!lo_.is_const) lhs_->Eval(in, ctx, &l);
+    if (!ro_.is_const) rhs_->Eval(in, ctx, &r);
     out->type = type();
     if (type() == LogicalType::kDouble) {
-      double* d = ctx.arena.AllocArray<double>(in.n);
-      ForSelected(in, [&](int i) {
-        double a = GetF64(l, i), b = GetF64(r, i);
-        switch (op_) {
-          case ArithOp::kAdd:
-            d[i] = a + b;
-            break;
-          case ArithOp::kSub:
-            d[i] = a - b;
-            break;
-          case ArithOp::kMul:
-            d[i] = a * b;
-            break;
-          case ArithOp::kDiv:
-            d[i] = a / b;
-            break;
-        }
-      });
-      out->data = d;
+      out->data = Run<double>(in, ctx, l, r);
     } else {
-      int64_t* d = ctx.arena.AllocArray<int64_t>(in.n);
-      ForSelected(in, [&](int i) {
-        int64_t a = GetI64(l, i), b = GetI64(r, i);
-        switch (op_) {
-          case ArithOp::kAdd:
-            d[i] = a + b;
-            break;
-          case ArithOp::kSub:
-            d[i] = a - b;
-            break;
-          case ArithOp::kMul:
-            d[i] = a * b;
-            break;
-          case ArithOp::kDiv:
-            d[i] = b == 0 ? 0 : a / b;
-            break;
-        }
-      });
-      out->data = d;
+      out->data = Run<int64_t>(in, ctx, l, r);
     }
   }
 
   void ForEachChild(const std::function<void(ExprPtr&)>& fn) override {
     fn(lhs_);
     fn(rhs_);
+    Analyze();  // a child may have been folded into a literal
   }
 
   ExprPtr Clone() const override {
@@ -246,8 +337,28 @@ class ArithExpr final : public Expr {
   }
 
  private:
+  void Analyze() {
+    lo_ = AnalyzeNumOperand(*lhs_);
+    ro_ = AnalyzeNumOperand(*rhs_);
+  }
+
+  template <typename C>
+  const C* Run(const Chunk& in, ExecContext& ctx, const Vector& l,
+               const Vector& r) const {
+    C* d = ctx.arena.AllocArray<C>(in.n);
+    WithArithOp(op_, [&](auto op) {
+      WithNumOperand<C>(lo_, l, [&](auto a) {
+        WithNumOperand<C>(ro_, r, [&](auto b) {
+          ForSelected(in, [&](int i) { d[i] = op(a(i), b(i)); });
+        });
+      });
+    });
+    return d;
+  }
+
   ArithOp op_;
   ExprPtr lhs_, rhs_;
+  NumOperand lo_, ro_;
 };
 
 class CmpExpr final : public Expr {
@@ -261,28 +372,20 @@ class CmpExpr final : public Expr {
     bool rs = rhs_->type() == LogicalType::kString;
     MORSEL_CHECK_MSG(ls == rs, "cannot compare string with numeric");
     string_ = ls;
+    Analyze();
   }
 
   void Eval(const Chunk& in, ExecContext& ctx, Vector* out) const override {
     Vector l, r;
-    lhs_->Eval(in, ctx, &l);
-    rhs_->Eval(in, ctx, &r);
+    if (!lo_.is_const) lhs_->Eval(in, ctx, &l);
+    if (!ro_.is_const) rhs_->Eval(in, ctx, &r);
     int32_t* d = ctx.arena.AllocArray<int32_t>(in.n);
     if (string_) {
-      const std::string_view* a = l.str();
-      const std::string_view* b = r.str();
-      ForSelected(in, [&](int i) { d[i] = Test(a[i].compare(b[i])); });
-    } else if (l.type == LogicalType::kDouble ||
-               r.type == LogicalType::kDouble) {
-      ForSelected(in, [&](int i) {
-        double a = GetF64(l, i), b = GetF64(r, i);
-        d[i] = Test(a < b ? -1 : (a > b ? 1 : 0));
-      });
+      RunString(in, l, r, d);
+    } else if (double_) {
+      Run<double>(in, l, r, d);
     } else {
-      ForSelected(in, [&](int i) {
-        int64_t a = GetI64(l, i), b = GetI64(r, i);
-        d[i] = Test(a < b ? -1 : (a > b ? 1 : 0));
-      });
+      Run<int64_t>(in, l, r, d);
     }
     out->type = LogicalType::kInt32;
     out->data = d;
@@ -313,6 +416,7 @@ class CmpExpr final : public Expr {
   void ForEachChild(const std::function<void(ExprPtr&)>& fn) override {
     fn(lhs_);
     fn(rhs_);
+    Analyze();  // a child may have been folded into a literal
   }
 
   ExprPtr Clone() const override {
@@ -342,27 +446,85 @@ class CmpExpr final : public Expr {
     }
   }
 
-  int32_t Test(int c) const {
-    switch (op_) {
-      case CmpOp::kEq:
-        return c == 0;
-      case CmpOp::kNe:
-        return c != 0;
-      case CmpOp::kLt:
-        return c < 0;
-      case CmpOp::kLe:
-        return c <= 0;
-      case CmpOp::kGt:
-        return c > 0;
-      case CmpOp::kGe:
-        return c >= 0;
+  void Analyze() {
+    double_ = lhs_->type() == LogicalType::kDouble ||
+              rhs_->type() == LogicalType::kDouble;
+    if (!string_) {
+      lo_ = AnalyzeNumOperand(*lhs_);
+      ro_ = AnalyzeNumOperand(*rhs_);
+      return;
     }
-    return 0;
+    // String literals compare in place: the kernel reads this node's
+    // own copy, never a per-chunk vector of views.
+    lo_ = NumOperand();
+    ro_ = NumOperand();
+    if (const auto* c = dynamic_cast<const ConstStrExpr*>(lhs_.get())) {
+      lo_.is_const = true;
+      lstr_ = c->value();
+    }
+    if (const auto* c = dynamic_cast<const ConstStrExpr*>(rhs_.get())) {
+      ro_.is_const = true;
+      rstr_ = c->value();
+    }
+  }
+
+  template <typename C>
+  void Run(const Chunk& in, const Vector& l, const Vector& r,
+           int32_t* d) const {
+    WithCmpOp(op_, [&](auto op) {
+      WithNumOperand<C>(lo_, l, [&](auto a) {
+        WithNumOperand<C>(ro_, r, [&](auto b) {
+          ForSelected(in, [&](int i) { d[i] = op(a(i), b(i)); });
+        });
+      });
+    });
+  }
+
+  void RunString(const Chunk& in, const Vector& l, const Vector& r,
+                 int32_t* d) const {
+    const std::string_view lc = lstr_, rc = rstr_;
+    const std::string_view* lv = lo_.is_const ? nullptr : l.str();
+    const std::string_view* rv = ro_.is_const ? nullptr : r.str();
+    auto with_side = [&](const std::string_view* v, std::string_view c,
+                         const auto& fn) {
+      if (v == nullptr) {
+        fn([c](int) { return c; });
+      } else {
+        fn([v](int i) { return v[i]; });
+      }
+    };
+    with_side(lv, lc, [&](auto a) {
+      with_side(rv, rc, [&](auto b) {
+        switch (op_) {
+          case CmpOp::kEq:
+            ForSelected(in, [&](int i) { d[i] = a(i) == b(i); });
+            break;
+          case CmpOp::kNe:
+            ForSelected(in, [&](int i) { d[i] = a(i) != b(i); });
+            break;
+          case CmpOp::kLt:
+            ForSelected(in, [&](int i) { d[i] = a(i).compare(b(i)) < 0; });
+            break;
+          case CmpOp::kLe:
+            ForSelected(in, [&](int i) { d[i] = a(i).compare(b(i)) <= 0; });
+            break;
+          case CmpOp::kGt:
+            ForSelected(in, [&](int i) { d[i] = a(i).compare(b(i)) > 0; });
+            break;
+          case CmpOp::kGe:
+            ForSelected(in, [&](int i) { d[i] = a(i).compare(b(i)) >= 0; });
+            break;
+        }
+      });
+    });
   }
 
   CmpOp op_;
   ExprPtr lhs_, rhs_;
   bool string_;
+  bool double_ = false;  // numeric comparison promoted to double
+  NumOperand lo_, ro_;
+  std::string lstr_, rstr_;  // string literal operands
 };
 
 class LogicExpr final : public Expr {
@@ -388,10 +550,13 @@ class LogicExpr final : public Expr {
     const int cnt = in.ActiveRows();
     int32_t* live = ctx.arena.AllocArray<int32_t>(cnt);
     int nlive = 0;
+    // Branch-free: every row is written to `live`, only the undecided
+    // ones advance the cursor.
     ForSelected(in, [&](int i) {
       const bool t = first[i] != 0;
       d[i] = t;
-      if (t == is_and_) live[nlive++] = i;
+      live[nlive] = i;
+      nlive += t == is_and_;
     });
     for (size_t k = 1; k < operands_.size() && nlive > 0; ++k) {
       Chunk view = in;
@@ -403,11 +568,11 @@ class LogicExpr final : public Expr {
       for (int j = 0; j < nlive; ++j) {
         const int32_t i = live[j];
         const bool t = o[i] != 0;
-        if (t == is_and_) {
-          live[m++] = i;  // still undecided
-        } else {
-          d[i] = !is_and_;  // AND: a false settles 0; OR: a true settles 1
-        }
+        // Undecided rows hold is_and_ in d, so d becomes t either way:
+        // AND: a false settles 0; OR: a true settles 1.
+        d[i] = t;
+        live[m] = i;
+        m += t == is_and_;  // still undecided
       }
       nlive = m;
     }
@@ -486,8 +651,20 @@ class LikeExpr final : public Expr {
       : Expr(LogicalType::kInt32),
         input_(std::move(input)),
         pattern_(std::move(pattern)),
-        negate_(negate) {
+        negate_(negate),
+        compiled_(pattern_.find('_') == std::string::npos) {
     MORSEL_CHECK(input_->type() == LogicalType::kString);
+    if (compiled_) {
+      std::vector<std::string> parts = Split(pattern_, '%');
+      any_ = parts.size() > 1;
+      prefix_ = parts.front();
+      if (any_) {
+        suffix_ = parts.back();
+        for (size_t p = 1; p + 1 < parts.size(); ++p) {
+          if (!parts[p].empty()) middle_.push_back(std::move(parts[p]));
+        }
+      }
+    }
   }
 
   void Eval(const Chunk& in, ExecContext& ctx, Vector* out) const override {
@@ -495,8 +672,13 @@ class LikeExpr final : public Expr {
     input_->Eval(in, ctx, &v);
     const std::string_view* s = v.str();
     int32_t* d = ctx.arena.AllocArray<int32_t>(in.n);
-    ForSelected(in,
-                [&](int i) { d[i] = LikeMatch(s[i], pattern_) != negate_; });
+    if (compiled_) {
+      ForSelected(in, [&](int i) { d[i] = MatchCompiled(s[i]) != negate_; });
+    } else {
+      ForSelected(in, [&](int i) {
+        d[i] = LikeMatch(s[i], pattern_) != negate_;
+      });
+    }
     out->type = LogicalType::kInt32;
     out->data = d;
   }
@@ -517,9 +699,35 @@ class LikeExpr final : public Expr {
   }
 
  private:
+  // A pattern whose only wildcard is '%' is literal segments between
+  // '%'s: the first anchors at the start, the last at the end, and the
+  // ones between are found left to right (leftmost-first is always a
+  // valid placement) in the part of the value the anchors leave free.
+  bool MatchCompiled(std::string_view s) const {
+    if (!any_) return s == prefix_;
+    if (s.size() < prefix_.size() + suffix_.size()) return false;
+    if (s.compare(0, prefix_.size(), prefix_) != 0) return false;
+    if (s.compare(s.size() - suffix_.size(), suffix_.size(), suffix_) != 0) {
+      return false;
+    }
+    const std::string_view free = s.substr(0, s.size() - suffix_.size());
+    size_t pos = prefix_.size();
+    for (const std::string& m : middle_) {
+      const size_t at = free.find(m, pos);
+      if (at == std::string_view::npos) return false;
+      pos = at + m.size();
+    }
+    return true;
+  }
+
   ExprPtr input_;
   std::string pattern_;
   bool negate_;
+  // '%'-only patterns skip the backtracking LikeMatch.
+  bool compiled_;
+  bool any_ = false;  // the pattern has at least one '%'
+  std::string prefix_, suffix_;
+  std::vector<std::string> middle_;  // non-empty inner segments
 };
 
 // Heterogeneous lookup so IN probes never materialize a std::string per
@@ -587,14 +795,18 @@ class InI64Expr final : public Expr {
       : Expr(LogicalType::kInt32),
         input_(std::move(input)),
         lookup_(std::move(lookup)) {
-    MORSEL_CHECK(IsNumeric(input_->type()));
+    MORSEL_CHECK_MSG(input_->type() == LogicalType::kInt32 ||
+                         input_->type() == LogicalType::kInt64,
+                     "IN (integers) needs an integer input");
   }
 
   void Eval(const Chunk& in, ExecContext& ctx, Vector* out) const override {
     Vector v;
     input_->Eval(in, ctx, &v);
     int32_t* d = ctx.arena.AllocArray<int32_t>(in.n);
-    ForSelected(in, [&](int i) { d[i] = lookup_->count(GetI64(v, i)) > 0; });
+    WithNumOperand<int64_t>(NumOperand(), v, [&](auto a) {
+      ForSelected(in, [&](int i) { d[i] = lookup_->count(a(i)) > 0; });
+    });
     out->type = LogicalType::kInt32;
     out->data = d;
   }
@@ -790,7 +1002,9 @@ class ToF64Expr final : public Expr {
       return;
     }
     double* d = ctx.arena.AllocArray<double>(in.n);
-    ForSelected(in, [&](int i) { d[i] = GetF64(v, i); });
+    WithNumOperand<double>(NumOperand(), v, [&](auto a) {
+      ForSelected(in, [&](int i) { d[i] = a(i); });
+    });
     out->type = LogicalType::kDouble;
     out->data = d;
   }

@@ -97,24 +97,28 @@ void HashBuildSink::Consume(Chunk& chunk, ExecContext& ctx) {
   RowBuffer* buf = state_->buffer(wid, ctx.socket());
   // Reads through the selection vector: materializing row-wise anyway,
   // a gather-compaction of every column first would be pure overhead.
+  // One batch hash per chunk, then one bulk append (zero-filled, so the
+  // next pointer and the marker start null) and column-wise field
+  // stores with the type switch hoisted out of the row loop.
   const int active = chunk.ActiveRows();
+  const uint64_t* hashes = HashRowsPacked(chunk, key_cols_, ctx);
+  const size_t row_size = static_cast<size_t>(layout.row_size());
+  uint8_t* rows = buf->AppendRows(static_cast<size_t>(active));
   for (int k = 0; k < active; ++k) {
-    const int i = chunk.RowAt(k);
-    uint8_t* row = buf->AppendRow();
-    TupleLayout::SetNext(row, nullptr);
-    TupleLayout::SetHash(row, HashRow(chunk, key_cols_, i));
-    if (layout.has_marker()) {
-      std::memset(row + layout.marker_offset(), 0, 8);
-    }
-    for (int f = 0; f < layout.num_fields(); ++f) {
-      if (layout.field_type(f) == LogicalType::kString) {
-        // Chunk strings may live in the per-morsel arena; intern them.
-        layout.SetStr(row, f,
-                      state_->InternString(wid, chunk.cols[f].str()[i]));
-      } else {
-        layout.StoreFromVector(row, f, chunk.cols[f], i);
+    TupleLayout::SetHash(rows + k * row_size, hashes[k]);
+  }
+  for (int f = 0; f < layout.num_fields(); ++f) {
+    const Vector& v = chunk.cols[f];
+    if (v.type == LogicalType::kString) {
+      // Chunk strings may live in the chunk-scoped arena; intern them.
+      const std::string_view* src = v.str();
+      for (int k = 0; k < active; ++k) {
+        layout.SetStr(rows + k * row_size, f,
+                      state_->InternString(wid, src[chunk.RowAt(k)]));
       }
+      continue;
     }
+    StoreColumn(layout, f, v, chunk.sel, active, rows);
   }
   // Materialization writes NUMA-locally (§2, Figure 3).
   ctx.traffic()->OnWrite(ctx.socket(), ctx.socket(),
@@ -486,7 +490,9 @@ void UnmatchedBuildSource::RunMorsel(const Morsel& m, Pipeline& pipeline,
   for (int f = 0; f < layout.num_fields(); ++f) all_fields.push_back(f);
   const uint8_t** unmatched =
       ctx.arena.AllocArray<const uint8_t*>(kChunkCapacity);
+  const Arena::Mark morsel_start = ctx.arena.GetMark();
   for (uint64_t base = m.begin; base < m.end; base += kChunkCapacity) {
+    ctx.arena.Rewind(morsel_start);  // chunk-scoped temporaries
     uint64_t limit = std::min(base + kChunkCapacity, m.end);
     int count = 0;
     for (uint64_t i = base; i < limit; ++i) {

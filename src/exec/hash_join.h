@@ -45,7 +45,7 @@ class JoinState {
   // --- build phase 1: materialization ------------------------------------
   RowBuffer* buffer(int worker_id, int socket);
   // Copies string fields into per-worker stable storage (chunk strings may
-  // point into a reset-per-morsel arena).
+  // point into the chunk-scoped arena).
   std::string_view InternString(int worker_id, std::string_view s);
 
   // Counts rows, builds the (empty) perfectly-sized hash table, and

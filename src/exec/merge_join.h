@@ -75,7 +75,8 @@ class MergeJoinState {
 
   // Emits matched (left, right) candidate pairs: builds the combined
   // chunk, applies the residual as a filter (inner / no-residual outer
-  // path), pushes downstream, and resets the arena.
+  // path), pushes downstream, and resets the arena (the partition is
+  // the morsel, so the reset is the rewind to its start: DESIGN.md §16).
   void FlushMatches(const std::vector<const uint8_t*>& cand_left,
                     const std::vector<const uint8_t*>& cand_right,
                     ExecContext& ctx, Pipeline& pipeline);

@@ -45,48 +45,88 @@ bool ValidPackedOrder(uint64_t order, size_t k) {
   return k >= 8 || (order >> (8 * k)) == 0;
 }
 
-}  // namespace
+// Where a selected row's hash lands: kDense hashes rows [0, n) in
+// place, kScatter writes hashes[sel[k]] (physically indexed), kPacked
+// writes hashes[k].
+enum class HashShape { kDense, kScatter, kPacked };
 
-uint64_t HashRow(const Chunk& chunk, const std::vector<int>& key_cols,
-                 int i) {
-  uint64_t h = 0;
-  for (size_t k = 0; k < key_cols.size(); ++k) {
-    const Vector& v = chunk.cols[key_cols[k]];
-    uint64_t hk;
-    switch (v.type) {
-      case LogicalType::kInt32:
-        hk = Hash64(static_cast<uint64_t>(v.i32()[i]));
-        break;
-      case LogicalType::kInt64:
-        hk = Hash64(static_cast<uint64_t>(v.i64()[i]));
-        break;
-      case LogicalType::kDouble:
-        hk = Hash64(std::bit_cast<uint64_t>(v.f64()[i]));
-        break;
-      case LogicalType::kString:
-        hk = HashString(v.str()[i]);
-        break;
-      default:
-        hk = 0;
-    }
-    h = k == 0 ? hk : HashCombine(h, hk);
+// Folds one key column into `hashes` for every selected row: the type
+// and the shape are resolved by the caller once per column, so the loop
+// body is a load, a mix and (after the first column) a combine.
+template <HashShape kShape, bool kFirst, typename KeyHash>
+inline void MixKeyColumn(const int32_t* sel, int count, uint64_t* hashes,
+                         const KeyHash& key_hash) {
+  for (int k = 0; k < count; ++k) {
+    const int i = kShape == HashShape::kDense ? k : sel[k];
+    const int o = kShape == HashShape::kScatter ? i : k;
+    const uint64_t hk = key_hash(i);
+    hashes[o] = kFirst ? hk : HashCombine(hashes[o], hk);
   }
-  return h;
 }
+
+template <HashShape kShape, bool kFirst>
+void MixKeyColumn(const Vector& v, const int32_t* sel, int count,
+                  uint64_t* hashes) {
+  switch (v.type) {
+    case LogicalType::kInt32: {
+      const int32_t* d = v.i32();
+      MixKeyColumn<kShape, kFirst>(sel, count, hashes, [d](int i) {
+        return Hash64(static_cast<uint64_t>(d[i]));
+      });
+      break;
+    }
+    case LogicalType::kInt64: {
+      const int64_t* d = v.i64();
+      MixKeyColumn<kShape, kFirst>(sel, count, hashes, [d](int i) {
+        return Hash64(static_cast<uint64_t>(d[i]));
+      });
+      break;
+    }
+    case LogicalType::kDouble: {
+      const double* d = v.f64();
+      MixKeyColumn<kShape, kFirst>(sel, count, hashes, [d](int i) {
+        return Hash64(std::bit_cast<uint64_t>(d[i]));
+      });
+      break;
+    }
+    case LogicalType::kString: {
+      const std::string_view* d = v.str();
+      MixKeyColumn<kShape, kFirst>(sel, count, hashes,
+                                   [d](int i) { return HashString(d[i]); });
+      break;
+    }
+  }
+}
+
+template <HashShape kShape>
+void HashKeyColumns(const Chunk& chunk, const std::vector<int>& key_cols,
+                    uint64_t* hashes) {
+  const int count = chunk.ActiveRows();
+  if (key_cols.empty()) {
+    // Scalar aggregation: every row is the one group, hash 0.
+    for (int k = 0; k < count; ++k) {
+      hashes[kShape == HashShape::kScatter ? chunk.sel[k] : k] = 0;
+    }
+    return;
+  }
+  MixKeyColumn<kShape, true>(chunk.cols[key_cols[0]], chunk.sel, count,
+                             hashes);
+  for (size_t c = 1; c < key_cols.size(); ++c) {
+    MixKeyColumn<kShape, false>(chunk.cols[key_cols[c]], chunk.sel, count,
+                                hashes);
+  }
+}
+
+}  // namespace
 
 const uint64_t* HashRows(const Chunk& chunk,
                          const std::vector<int>& key_cols,
                          ExecContext& ctx) {
   uint64_t* hashes = ctx.arena.AllocArray<uint64_t>(chunk.n);
   if (chunk.dense()) {
-    for (int i = 0; i < chunk.n; ++i) {
-      hashes[i] = HashRow(chunk, key_cols, i);
-    }
+    HashKeyColumns<HashShape::kDense>(chunk, key_cols, hashes);
   } else {
-    for (int k = 0; k < chunk.sel_n; ++k) {
-      const int i = chunk.sel[k];
-      hashes[i] = HashRow(chunk, key_cols, i);
-    }
+    HashKeyColumns<HashShape::kScatter>(chunk, key_cols, hashes);
   }
   return hashes;
 }
@@ -96,9 +136,7 @@ const uint64_t* HashRowsPacked(const Chunk& chunk,
                                ExecContext& ctx) {
   if (chunk.dense()) return HashRows(chunk, key_cols, ctx);
   uint64_t* hashes = ctx.arena.AllocArray<uint64_t>(chunk.sel_n);
-  for (int k = 0; k < chunk.sel_n; ++k) {
-    hashes[k] = HashRow(chunk, key_cols, chunk.sel[k]);
-  }
+  HashKeyColumns<HashShape::kPacked>(chunk, key_cols, hashes);
   return hashes;
 }
 
@@ -194,16 +232,20 @@ void FilterOp::ProcessSelection(Chunk& chunk, ExecContext& ctx,
     Vector flags;
     conjuncts_[c]->Eval(view, ctx, &flags);
     const int32_t* f = flags.i32();
+    // Branch-free narrowing: every row is written, only survivors
+    // advance the cursor, so mid selectivities cost no mispredictions.
     int32_t* next = ctx.arena.AllocArray<int32_t>(active);
     int passed = 0;
     if (sel != nullptr) {
       for (int k = 0; k < active; ++k) {
         const int32_t row = sel[k];
-        if (f[row] != 0) next[passed++] = row;
+        next[passed] = row;
+        passed += f[row] != 0;
       }
     } else {
       for (int k = 0; k < active; ++k) {
-        if (f[k] != 0) next[passed++] = k;
+        next[passed] = k;
+        passed += f[k] != 0;
       }
     }
     if (observe) {

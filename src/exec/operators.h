@@ -14,10 +14,6 @@ namespace morsel {
 // --- shared vector utilities ------------------------------------------------
 // (GatherVector / GatherChunk / Chunk::Compact live in exec/chunk.h.)
 
-// Hash of row `i` over the given columns (multi-column keys combine).
-uint64_t HashRow(const Chunk& chunk, const std::vector<int>& key_cols,
-                 int i);
-
 // The leading `n` column indices [0, n) — the key-column list for sinks
 // whose input chunks are laid out [keys..., payload...] by construction.
 inline std::vector<int> IdentityCols(int n) {
@@ -31,6 +27,10 @@ inline std::vector<int> IdentityCols(int n) {
 // k in [0, ActiveRows()); unselected positions are uninitialized. Dense
 // chunks get a fully populated array. Consumers that keep physical row
 // ids (the batched probe) index it directly.
+//
+// Column-at-a-time: one type switch per key column, each column's
+// Hash64/HashString folded in with HashCombine (the first column's hash
+// is taken as is). Zero key columns hash every row to 0.
 const uint64_t* HashRows(const Chunk& chunk,
                          const std::vector<int>& key_cols, ExecContext& ctx);
 

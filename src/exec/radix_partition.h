@@ -87,7 +87,7 @@ class RadixScatter {
 
   // `buffer_of(p)` returns the worker's buffer for partition p (created
   // lazily by the caller). The returned array (arena-allocated, valid
-  // until the morsel's arena reset) points at the reserved, zero-headed
+  // for the current chunk) points at the reserved, zero-headed
   // row slots; callers must write hash and fields before the buffers
   // are read.
   uint8_t** Scatter(const uint64_t* hashes, int n, ExecContext& ctx,

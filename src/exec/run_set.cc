@@ -345,7 +345,7 @@ void RunMaterializeSink::Consume(Chunk& chunk, ExecContext& ctx) {
         break;
       }
       case LogicalType::kString: {
-        // Chunk strings may live in the per-morsel arena; intern them.
+        // Chunk strings may live in the chunk-scoped arena; intern them.
         const std::string_view* src = v.str();
         for (int k = 0; k < n; ++k, p += rs) {
           std::string_view sv =

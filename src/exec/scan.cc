@@ -138,7 +138,11 @@ void TableScanSource::RunMorsel(const Morsel& m, Pipeline& pipeline,
       }
     }
   }
+  // Chunk-scoped temporaries (DESIGN.md §16): everything the previous
+  // chunk allocated is dead once its Push returned.
+  const Arena::Mark morsel_start = ctx.arena.GetMark();
   for (uint64_t begin = m.begin; begin < m.end; begin += kChunkCapacity) {
+    ctx.arena.Rewind(morsel_start);
     uint64_t end = std::min(begin + kChunkCapacity, m.end);
     int n = static_cast<int>(end - begin);
     Chunk chunk;

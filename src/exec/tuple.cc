@@ -23,6 +23,40 @@ TupleLayout::TupleLayout(std::vector<LogicalType> types, bool with_marker)
   row_size_ = off;
 }
 
+namespace {
+
+template <typename Src, typename Dst>
+void StoreStrided(const Src* src, const int32_t* sel, int count,
+                  uint8_t* dst, size_t stride) {
+  for (int k = 0; k < count; ++k) {
+    const Dst v = src[sel != nullptr ? sel[k] : k];
+    std::memcpy(dst + k * stride, &v, sizeof v);
+  }
+}
+
+}  // namespace
+
+void StoreColumn(const TupleLayout& layout, int f, const Vector& v,
+                 const int32_t* sel, int count, uint8_t* rows) {
+  const size_t stride = static_cast<size_t>(layout.row_size());
+  uint8_t* dst = rows + layout.field_offset(f);
+  switch (v.type) {
+    case LogicalType::kInt32:
+      StoreStrided<int32_t, int64_t>(v.i32(), sel, count, dst, stride);
+      break;
+    case LogicalType::kInt64:
+      StoreStrided<int64_t, int64_t>(v.i64(), sel, count, dst, stride);
+      break;
+    case LogicalType::kDouble:
+      StoreStrided<double, double>(v.f64(), sel, count, dst, stride);
+      break;
+    case LogicalType::kString:
+      StoreStrided<std::string_view, std::string_view>(v.str(), sel, count,
+                                                       dst, stride);
+      break;
+  }
+}
+
 void DecodeRowsToColumns(const TupleLayout& layout,
                          const uint8_t* const* rows, int count,
                          const std::vector<int>& fields, Arena* arena,

@@ -114,6 +114,14 @@ class TupleLayout {
   int row_size_ = 16;
 };
 
+// Stores the selected values of `v` (v[sel[k]], or v[k] when `sel` is
+// null) into field `f` of `count` consecutive rows starting at `rows`:
+// the column-at-a-time form of StoreFromVector, one type switch per
+// column. String views are stored as is; callers that outlive the chunk
+// intern them instead.
+void StoreColumn(const TupleLayout& layout, int f, const Vector& v,
+                 const int32_t* sel, int count, uint8_t* rows);
+
 // Decodes `fields` of `count` row-format tuples into arena-backed column
 // vectors appended to `out` (one value per row pointer). The shared
 // row-to-column bridge of the pipeline breakers: join payload gather,

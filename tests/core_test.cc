@@ -42,6 +42,13 @@ class CountingJob : public PipelineJob {
   }
 
   void RunMorsel(const Morsel& m, WorkerContext& ctx) override {
+    // Concurrency as the job itself sees it, independent of the
+    // dispatcher's own active_workers bookkeeping.
+    const int running = in_flight.fetch_add(1) + 1;
+    int seen = max_in_flight.load();
+    while (running > seen &&
+           !max_in_flight.compare_exchange_weak(seen, running)) {
+    }
     processed.fetch_add(m.size());
     max_active.store(
         std::max(max_active.load(),
@@ -52,6 +59,7 @@ class CountingJob : public PipelineJob {
       while (std::chrono::steady_clock::now() < end) {
       }
     }
+    in_flight.fetch_sub(1);
     (void)ctx;
   }
 
@@ -61,6 +69,8 @@ class CountingJob : public PipelineJob {
   std::atomic<int> prepared{0};
   std::atomic<int> finalized{0};
   std::atomic<int> max_active{0};
+  std::atomic<int> in_flight{0};
+  std::atomic<int> max_in_flight{0};
 
  private:
   uint64_t rows_;
@@ -171,6 +181,34 @@ TEST(Scheduler, ElasticWorkerCapRespected) {
   query.Wait();
   EXPECT_EQ(raw->processed.load(), 20000u);
   EXPECT_LE(raw->max_active.load(), 1);
+}
+
+// The cap is enforced with a CAS on active_workers before a morsel is
+// cut. A check-then-increment let two workers both pass a cap of 1 on
+// the same stale count. Many short morsels on 4 workers maximize the
+// window: every hand-out races three other requesters.
+TEST(Scheduler, ElasticWorkerCapStress) {
+  Harness h;
+  for (int cap : {1, 2}) {
+    for (int rep = 0; rep < 150; ++rep) {
+      QueryContext query(rep);
+      query.set_num_worker_slots(h.pool.num_worker_slots());
+      query.set_max_workers(cap);
+      QepObject qep(&query, &h.dispatcher);
+      auto job = std::make_unique<CountingJob>(&query, "capped", 4000,
+                                               h.topo, /*spin_us=*/0,
+                                               /*morsel_size=*/20);
+      CountingJob* raw = job.get();
+      qep.AddPipeline(std::move(job), {});
+      qep.Start(h.pool.external_context());
+      query.Wait();
+      ASSERT_EQ(raw->processed.load(), 4000u);
+      ASSERT_LE(raw->max_in_flight.load(), cap)
+          << "cap " << cap << " exceeded in repetition " << rep;
+      ASSERT_LE(raw->max_active.load(), cap);
+      ASSERT_EQ(query.active_workers().load(), 0);
+    }
+  }
 }
 
 TEST(Scheduler, CancellationStopsAtMorselBoundary) {

@@ -106,16 +106,17 @@ TEST(Gather, AllTypes) {
 }
 
 TEST(HashRows, MultiColumnDiffersFromSingle) {
-  Arena arena;
+  ExecContext ctx;
   static const int64_t a[2] = {1, 2};
   static const int64_t b[2] = {2, 1};
   Chunk c;
   c.n = 2;
   c.cols = {Vector{LogicalType::kInt64, a}, Vector{LogicalType::kInt64, b}};
   // (1,2) and (2,1) must hash differently (order-dependent combine).
-  EXPECT_NE(HashRow(c, {0, 1}, 0), HashRow(c, {0, 1}, 1));
+  const uint64_t* both = HashRows(c, {0, 1}, ctx);
+  EXPECT_NE(both[0], both[1]);
   // single-column hashes equal the row value hash irrespective of chunk
-  EXPECT_EQ(HashRow(c, {0}, 0), HashRow(c, {1}, 1));
+  EXPECT_EQ(HashRows(c, {0}, ctx)[0], HashRows(c, {1}, ctx)[1]);
 }
 
 TEST(Scan, TrafficChargedAtMorselSocket) {
